@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 use scpm_bench::{arg_f64, arg_usize, row, timed};
 use scpm_core::report::{render_patterns, render_top_tables};
-use scpm_core::{run_parallel_with, ParallelConfig, Scpm, ScpmParams};
+use scpm_core::{ParallelConfig, Scpm, ScpmParams};
 use scpm_datasets::ingest::{canonicalize_attributes, ingest_files, IngestOptions, SourceFormat};
 use scpm_datasets::{dblp_like, ingest_cached};
 use scpm_graph::io::{write_attr_table, write_edge_list};
@@ -127,7 +127,7 @@ fn main() -> ExitCode {
     // Mine the ingested path (parallel driver) and the in-memory path
     // (serial driver) — the suite guarantees those agree bit-for-bit.
     let config = ParallelConfig::new(threads);
-    let (from_disk, secs) = timed(|| run_parallel_with(&loaded, params(), &config));
+    let (from_disk, secs) = timed(|| Scpm::new(&loaded, params()).run_scheduled(&config));
     row!(
         "mine-ingested",
         format!("{secs:.3}"),

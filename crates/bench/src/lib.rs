@@ -1,8 +1,8 @@
 //! Shared utilities of the experiment harness.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's experiment index); the Criterion
-//! benches in `benches/` cover micro-level and ablation measurements.
+//! paper's evaluation (see the README's experiment list); `exp_perf` is the
+//! deterministic counter gate. Wall-clock timing lives in `perfbench/`.
 
 #![warn(missing_docs)]
 

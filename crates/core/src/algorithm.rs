@@ -13,7 +13,6 @@ use std::time::Instant;
 use scpm_graph::attributed::{AttrId, AttributedGraph};
 use scpm_graph::csr::{intersect_into, VertexId};
 use scpm_itemset::Tidset;
-use scpm_quasiclique::{QuasiClique, SearchStats};
 
 use crate::correlation::CorrelationEngine;
 use crate::incremental::{EvalRecord, IncrementalCtx};
@@ -162,7 +161,7 @@ impl<'g> Scpm<'g> {
         self.model.cache()
     }
 
-    /// The underlying null model (shared with examples and benches).
+    /// The underlying null model (shared with examples).
     pub fn model(&self) -> &AnalyticalModel {
         &self.model
     }
@@ -221,18 +220,28 @@ impl<'g> Scpm<'g> {
         entries
     }
 
-    /// Evaluates one attribute set: computes ε and δ_lb (projecting the
-    /// mining subgraph from `parent_sub` when the caller holds one),
-    /// records the report, emits top-k patterns when the set qualifies
-    /// (reusing the coverage subgraph), and returns an [`EnumEntry`] when
-    /// the Theorem 4/5 gates allow extension.
+    /// Evaluates one attribute set: obtains its ε outcome, records the
+    /// report, emits top-k patterns when the set qualifies, stores the
+    /// set's memo record, and returns an [`EnumEntry`] when the
+    /// Theorem 4/5 gates allow extension.
     ///
-    /// `parents_stable` feeds the incremental replay gate: it must be true
-    /// only when every parent entry's cover is bit-identical to the
-    /// previous generation's (level 1 has no parents and passes `true`).
-    /// Under an update context, a clean set with stable parents and a memo
-    /// record is replayed instead of searched — producing byte-identical
-    /// reports, patterns and counters (see [`crate::incremental`]).
+    /// The ε outcome comes from one of two places. Normally it is a fresh
+    /// coverage search, projecting the mining subgraph from `parent_sub`
+    /// when the caller holds one. Under an update context, a clean set
+    /// whose parents are stable and that has a memo record takes the
+    /// record's outcome instead. That is sound because the set's `V(S)`
+    /// and `G(S)` are unchanged, so ε and `K_S` are too, and because the
+    /// stable parents leave the restricted mining set, and with it every
+    /// search counter, bit-identical (see [`crate::incremental`]).
+    /// Everything after that is shared: δ_lb and the Theorem-5 floor are
+    /// recomputed against this graph's null model, so qualification may
+    /// flip even for a replayed set. A replayed set that newly qualifies
+    /// runs its first top-k search live, on a global extraction that is
+    /// byte-equivalent to the projection a full mine would run.
+    ///
+    /// `parents_stable` must be true only when every parent entry's cover
+    /// is bit-identical to the previous generation's (level 1 has no
+    /// parents and passes `true`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate(
         &self,
@@ -244,87 +253,103 @@ impl<'g> Scpm<'g> {
         parents_stable: bool,
         result: &mut ScpmResult,
     ) -> Option<EnumEntry> {
-        let replayed = self
+        let support = tids.support();
+        let memo = self
             .incr
             .as_ref()
             .and_then(|ctx| ctx.replayable(&attrs, parents_stable).cloned());
-        if let Some(record) = replayed {
-            return self.replay(engine, attrs, tids, parent_cover, record, result);
-        }
-        let support = tids.support();
-        let outcome = engine.epsilon_projected(tids.as_slice(), parent_cover, parent_sub);
-        let sub_built = outcome.sub.is_some();
+        let replayed = memo.is_some();
+        let (mut record, sub) = match memo {
+            Some(record) => {
+                debug_assert_eq!(
+                    support, record.support,
+                    "replayed a set whose support changed — dirty-set bug"
+                );
+                (record, None)
+            }
+            None => {
+                let outcome = engine.epsilon_projected(tids.as_slice(), parent_cover, parent_sub);
+                let record = EvalRecord {
+                    support,
+                    epsilon: outcome.epsilon,
+                    covered: outcome.covered,
+                    coverage_stats: outcome.stats,
+                    sub_built: outcome.sub.is_some(),
+                    topk: None,
+                };
+                (record, outcome.sub)
+            }
+        };
         result.stats.attribute_sets_examined += 1;
-        result.stats.qc_nodes_coverage += outcome.stats.nodes_visited;
-        result.stats.qc_edge_tests += outcome.stats.edge_tests;
-        result.stats.qc_kernel_ops += outcome.stats.kernel_ops;
-        result.stats.qc_fused_ops += outcome.stats.fused_ops;
-        result.stats.qc_blocks_skipped += outcome.stats.blocks_skipped;
-        result.stats.qc_probes_elided += outcome.stats.probes_elided;
-        result.stats.qc_batch_ops += outcome.stats.batch_ops;
-        let epsilon = outcome.epsilon;
+        result.stats.add_coverage(&record.coverage_stats);
+        let (mut live_ops, mut reused_ops) = if replayed {
+            (0, record.coverage_stats.kernel_ops)
+        } else {
+            (record.coverage_stats.kernel_ops, 0)
+        };
+        let epsilon = record.epsilon;
         let delta_lb = self.model.normalize(epsilon, support);
         let qualified = epsilon >= self.params.eps_min && delta_lb >= self.params.delta_min;
-        let mut live_ops = outcome.stats.kernel_ops;
-        let mut topk: Option<(Vec<QuasiClique>, SearchStats)> = None;
 
         if attrs.len() >= self.params.min_attrs {
             result.reports.push(AttributeSetReport {
                 attrs: attrs.clone(),
                 support,
-                covered: outcome.covered.len(),
+                covered: record.covered.len(),
                 epsilon,
                 delta_lb,
                 qualified,
             });
             if qualified {
                 result.stats.attribute_sets_qualified += 1;
-                // The top-k search runs on the same mining set as the
-                // coverage search — reuse its subgraph verbatim.
-                if let Some(sub) = outcome.sub.as_deref() {
-                    let (cliques, tk_stats) = engine.top_k_on(sub, self.params.k);
-                    live_ops += tk_stats.kernel_ops;
-                    result.stats.qc_nodes_topk += tk_stats.nodes_visited;
-                    result.stats.qc_edge_tests += tk_stats.edge_tests;
-                    result.stats.qc_kernel_ops += tk_stats.kernel_ops;
-                    result.stats.qc_fused_ops += tk_stats.fused_ops;
-                    result.stats.qc_blocks_skipped += tk_stats.blocks_skipped;
-                    result.stats.qc_probes_elided += tk_stats.probes_elided;
-                    result.stats.qc_batch_ops += tk_stats.batch_ops;
+                if record.sub_built {
+                    let (cliques, tk_stats) = match record.topk.take() {
+                        Some(memoized) => {
+                            reused_ops += memoized.1.kernel_ops;
+                            memoized
+                        }
+                        None => {
+                            // A fresh evaluation reuses its coverage
+                            // subgraph verbatim: top-k runs on the same
+                            // mining set.
+                            let live = match sub.as_deref() {
+                                Some(sub) => engine.top_k_on(sub, self.params.k),
+                                None => engine.top_k(tids.as_slice(), parent_cover, self.params.k),
+                            };
+                            live_ops += live.1.kernel_ops;
+                            live
+                        }
+                    };
+                    result.stats.add_topk(&tk_stats);
                     for clique in &cliques {
                         result.patterns.push(Pattern {
                             attrs: attrs.clone(),
                             clique: clique.clone(),
                         });
                     }
-                    topk = Some((cliques, tk_stats));
+                    record.topk = Some((cliques, tk_stats));
                 }
             }
         } else if qualified {
             result.stats.attribute_sets_qualified += 1;
         }
 
-        if let Some(ctx) = &self.incr {
-            ctx.count_live(live_ops);
-            ctx.store(
-                &attrs,
-                EvalRecord {
-                    support,
-                    epsilon,
-                    covered: outcome.covered.clone(),
-                    coverage_stats: outcome.stats,
-                    sub_built,
-                    topk,
-                },
-            );
-        }
+        let cover = match &self.incr {
+            Some(ctx) => {
+                ctx.count(replayed, live_ops, reused_ops);
+                let cover = record.covered.clone();
+                ctx.store(&attrs, record);
+                cover
+            }
+            None => record.covered,
+        };
 
         // Extension gates (Theorems 4 and 5): `|K_S|` bounds `ε`/`δ` of any
         // superset with support ≥ σmin.
         if attrs.len() >= self.params.max_attrs {
             return None;
         }
-        let covered_count = outcome.covered.len() as f64;
+        let covered_count = cover.len() as f64;
         let sigma_min = self.params.sigma_min as f64;
         if self.params.prune.eps_pruning && covered_count < self.params.eps_min * sigma_min {
             result.stats.pruned_eps_bound += 1;
@@ -341,136 +366,16 @@ impl<'g> Scpm<'g> {
         // modestly sized: a frontier entry lives until its whole branch
         // (or, under the work-stealing driver, its task class) drains, so
         // retaining hub-attribute subgraphs without a cap would hold many
-        // large CSR copies at once. Children of an over-cap entry extract
-        // from the global graph — the pre-projection behavior, identical
-        // results.
-        let sub = outcome
-            .sub
-            .filter(|s| s.num_vertices() <= PROJECT_RETAIN_MAX_VERTICES);
+        // large CSR copies at once. Children of an over-cap or replayed
+        // entry extract from the global graph — the pre-projection
+        // behavior, identical results.
+        let sub = sub.filter(|s| s.num_vertices() <= PROJECT_RETAIN_MAX_VERTICES);
         Some(EnumEntry {
             attrs,
             tids,
-            cover: outcome.covered,
+            cover,
             sub,
-            stable: false,
-        })
-    }
-
-    /// The replay twin of [`Scpm::evaluate`]: reproduces the fresh path's
-    /// reports, patterns, counters and gate decisions from a memo record,
-    /// without a coverage search. Sound because the set is clean (its
-    /// `V(S)` and `G(S)` are unchanged, so ε and `K_S` are too) and its
-    /// parents are stable (so the restricted mining set — and with it every
-    /// search counter — is bit-identical). δ_lb and the Theorem-5 floor are
-    /// recomputed against the *new* graph's null model, so qualification
-    /// may flip even for a clean set; a set that turns qualified here runs
-    /// its first top-k search live (the global-extraction search is
-    /// byte-equivalent to the projected one a full mine would run).
-    fn replay(
-        &self,
-        engine: &CorrelationEngine<'g>,
-        attrs: Vec<AttrId>,
-        tids: Tidset,
-        parent_cover: Option<&[VertexId]>,
-        record: EvalRecord,
-        result: &mut ScpmResult,
-    ) -> Option<EnumEntry> {
-        let ctx = self.incr.as_ref().expect("replay without a context");
-        let support = tids.support();
-        debug_assert_eq!(
-            support, record.support,
-            "replayed a set whose support changed — dirty-set bug"
-        );
-        result.stats.attribute_sets_examined += 1;
-        result.stats.qc_nodes_coverage += record.coverage_stats.nodes_visited;
-        result.stats.qc_edge_tests += record.coverage_stats.edge_tests;
-        result.stats.qc_kernel_ops += record.coverage_stats.kernel_ops;
-        result.stats.qc_fused_ops += record.coverage_stats.fused_ops;
-        result.stats.qc_blocks_skipped += record.coverage_stats.blocks_skipped;
-        result.stats.qc_probes_elided += record.coverage_stats.probes_elided;
-        result.stats.qc_batch_ops += record.coverage_stats.batch_ops;
-        let epsilon = record.epsilon;
-        let delta_lb = self.model.normalize(epsilon, support);
-        let qualified = epsilon >= self.params.eps_min && delta_lb >= self.params.delta_min;
-        let mut reused_ops = record.coverage_stats.kernel_ops;
-        let mut topk = record.topk.clone();
-
-        if attrs.len() >= self.params.min_attrs {
-            result.reports.push(AttributeSetReport {
-                attrs: attrs.clone(),
-                support,
-                covered: record.covered.len(),
-                epsilon,
-                delta_lb,
-                qualified,
-            });
-            if qualified {
-                result.stats.attribute_sets_qualified += 1;
-                if record.sub_built {
-                    let (cliques, tk_stats) = match topk.take() {
-                        Some((cliques, tk_stats)) => {
-                            reused_ops += tk_stats.kernel_ops;
-                            (cliques, tk_stats)
-                        }
-                        None => engine.top_k(tids.as_slice(), parent_cover, self.params.k),
-                    };
-                    result.stats.qc_nodes_topk += tk_stats.nodes_visited;
-                    result.stats.qc_edge_tests += tk_stats.edge_tests;
-                    result.stats.qc_kernel_ops += tk_stats.kernel_ops;
-                    result.stats.qc_fused_ops += tk_stats.fused_ops;
-                    result.stats.qc_blocks_skipped += tk_stats.blocks_skipped;
-                    result.stats.qc_probes_elided += tk_stats.probes_elided;
-                    result.stats.qc_batch_ops += tk_stats.batch_ops;
-                    for clique in &cliques {
-                        result.patterns.push(Pattern {
-                            attrs: attrs.clone(),
-                            clique: clique.clone(),
-                        });
-                    }
-                    topk = Some((cliques, tk_stats));
-                }
-            }
-        } else if qualified {
-            result.stats.attribute_sets_qualified += 1;
-        }
-
-        ctx.count_reuse(reused_ops);
-        ctx.store(
-            &attrs,
-            EvalRecord {
-                support,
-                epsilon,
-                covered: record.covered.clone(),
-                coverage_stats: record.coverage_stats,
-                sub_built: record.sub_built,
-                topk,
-            },
-        );
-
-        if attrs.len() >= self.params.max_attrs {
-            return None;
-        }
-        let covered_count = record.covered.len() as f64;
-        let sigma_min = self.params.sigma_min as f64;
-        if self.params.prune.eps_pruning && covered_count < self.params.eps_min * sigma_min {
-            result.stats.pruned_eps_bound += 1;
-            return None;
-        }
-        if self.params.prune.delta_pruning {
-            let exp_floor = self.model.expected(self.params.sigma_min);
-            if covered_count < self.params.delta_min * exp_floor * sigma_min {
-                result.stats.pruned_delta_bound += 1;
-                return None;
-            }
-        }
-        // No retained subgraph: children that evaluate live fall back to
-        // global extraction, which is byte-equivalent to projection.
-        Some(EnumEntry {
-            attrs,
-            tids,
-            cover: record.covered,
-            sub: None,
-            stable: true,
+            stable: replayed,
         })
     }
 
@@ -488,7 +393,8 @@ impl<'g> Scpm<'g> {
     }
 
     /// One branch of Algorithm 3: extends `class[i]` with every later
-    /// sibling, then recurses into the new class.
+    /// sibling (emitting their reports/patterns into `result` in sibling
+    /// order), then recurses into the surviving child class.
     pub(crate) fn enumerate_branch(
         &self,
         engine: &CorrelationEngine<'g>,
@@ -496,58 +402,29 @@ impl<'g> Scpm<'g> {
         i: usize,
         result: &mut ScpmResult,
     ) {
-        let next = self.extend_branch(engine, class, i, result);
+        let mut next: Vec<EnumEntry> = Vec::new();
+        let mut cover_buf: Vec<VertexId> = Vec::new();
+        for sibling in &class[i + 1..] {
+            if let Some(entry) =
+                self.extend_pair_refs(engine, &class[i], sibling, &mut cover_buf, result)
+            {
+                next.push(entry);
+            }
+        }
         if !next.is_empty() {
             self.enumerate_class(engine, &next, result);
         }
     }
 
-    /// The extension step of one branch, *without* the recursion: evaluates
-    /// every `class[i] ∪ {sibling}` (emitting their reports/patterns into
-    /// `result` in sibling order) and returns the surviving child class.
-    /// [`Scpm::enumerate_branch`] recurses on the return value; the
-    /// work-stealing driver instead turns each child branch into a
-    /// stealable task.
-    pub(crate) fn extend_branch(
-        &self,
-        engine: &CorrelationEngine<'g>,
-        class: &[EnumEntry],
-        i: usize,
-        result: &mut ScpmResult,
-    ) -> Vec<EnumEntry> {
-        let mut next: Vec<EnumEntry> = Vec::new();
-        let mut cover_buf: Vec<VertexId> = Vec::new();
-        for j in (i + 1)..class.len() {
-            if let Some(entry) = self.extend_pair(engine, class, i, j, &mut cover_buf, result) {
-                next.push(entry);
-            }
-        }
-        next
-    }
-
-    /// One iteration of the extension loop: evaluates
-    /// `class[i] ∪ {class[j]}`'s new attribute, emitting its report into
-    /// `result` and returning the child [`EnumEntry`] when the set stays
-    /// extensible. `cover_buf` is caller-provided scratch for the
-    /// Theorem 3 cover intersection. This is the work-stealing driver's
-    /// finest task granularity.
-    pub(crate) fn extend_pair(
-        &self,
-        engine: &CorrelationEngine<'g>,
-        class: &[EnumEntry],
-        i: usize,
-        j: usize,
-        cover_buf: &mut Vec<VertexId>,
-        result: &mut ScpmResult,
-    ) -> Option<EnumEntry> {
-        self.extend_pair_refs(engine, &class[i], &class[j], cover_buf, result)
-    }
-
-    /// [`Scpm::extend_pair`] on explicit entry references. The out-of-core
-    /// driver ([`crate::segments`]) calls this with `sibling` entries it
-    /// materializes one at a time from spilled covers and the mapped
-    /// inverted index, so a root's whole sibling class never has to be
-    /// resident at once.
+    /// One iteration of the extension loop: evaluates `base ∪ {sibling}`'s
+    /// new attribute, emitting its report into `result` and returning the
+    /// child [`EnumEntry`] when the set stays extensible. `cover_buf` is
+    /// caller-provided scratch for the Theorem 3 cover intersection. This
+    /// is the work-stealing driver's finest task granularity; the
+    /// out-of-core driver ([`crate::segments`]) calls it with `sibling`
+    /// entries it materializes one at a time from spilled covers and the
+    /// mapped inverted index, so a root's whole sibling class never has to
+    /// be resident at once.
     pub(crate) fn extend_pair_refs(
         &self,
         engine: &CorrelationEngine<'g>,

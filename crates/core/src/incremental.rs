@@ -212,7 +212,10 @@ pub struct IncrementalStats {
     pub reused: u64,
     /// Attribute sets evaluated live (fresh coverage search).
     pub reevaluated: u64,
-    /// Modeled kernel operations performed by live evaluations.
+    /// Modeled kernel operations performed live: every search of a live
+    /// evaluation, plus the first top-k search of a replayed set that
+    /// newly qualifies. With `reused_kernel_ops` it sums to the run's
+    /// `qc_kernel_ops`.
     pub live_kernel_ops: u64,
     /// Modeled kernel operations replayed from memo records (work a full
     /// re-mine would have performed again).
@@ -304,18 +307,18 @@ impl IncrementalCtx {
         self.new_memo.lock().insert(attrs.to_vec(), record);
     }
 
-    /// Counts one replayed set and the kernel work it avoided.
-    pub(crate) fn count_reuse(&self, kernel_ops: u64) {
-        self.reused.fetch_add(1, Ordering::Relaxed);
+    /// Counts one evaluated set — replayed from the memo or evaluated
+    /// live — with the kernel work it performed and the work it reused.
+    pub(crate) fn count(&self, replayed: bool, live_ops: u64, reused_ops: u64) {
+        let sets = if replayed {
+            &self.reused
+        } else {
+            &self.reevaluated
+        };
+        sets.fetch_add(1, Ordering::Relaxed);
+        self.live_kernel_ops.fetch_add(live_ops, Ordering::Relaxed);
         self.reused_kernel_ops
-            .fetch_add(kernel_ops, Ordering::Relaxed);
-    }
-
-    /// Counts one live evaluation and its kernel work.
-    pub(crate) fn count_live(&self, kernel_ops: u64) {
-        self.reevaluated.fetch_add(1, Ordering::Relaxed);
-        self.live_kernel_ops
-            .fetch_add(kernel_ops, Ordering::Relaxed);
+            .fetch_add(reused_ops, Ordering::Relaxed);
     }
 
     /// This run's reuse counters.

@@ -37,7 +37,7 @@
 //!
 //! The [`naive::run_naive`] baseline (Eclat + full quasi-clique
 //! enumeration) produces identical results and serves as the performance
-//! baseline of the paper's Figure 8; [`parallel::run_parallel`] distributes
+//! baseline of the paper's Figure 8; [`Scpm::run_scheduled`] distributes
 //! the attribute-set search over a work-stealing subtree scheduler (see
 //! `docs/PARALLELISM.md`) with bit-identical output.
 
@@ -47,7 +47,6 @@ pub mod algorithm;
 pub mod correlation;
 pub mod hypergeom;
 pub mod incremental;
-pub mod levelwise;
 pub mod memoio;
 pub mod naive;
 pub mod nullmodel;
@@ -70,10 +69,7 @@ pub use nullmodel::{
     simulate_expected_parallel, AnalyticalModel, ExpectedCorrelation, LnFactorial, ModelKind,
     NullModelCache, SimExpected, SimulationModel,
 };
-pub use parallel::{
-    run_parallel, run_parallel_branch_level, run_parallel_traced, run_parallel_with,
-    ParallelConfig, SubtreeTrace, DEFAULT_SPLIT_DEPTH,
-};
+pub use parallel::{run_parallel_traced, ParallelConfig, SubtreeTrace};
 pub use params::{ScpmParams, ScpmPruneFlags};
 pub use pattern::{describe_patterns, AttributeSetReport, Pattern, ScpmResult, ScpmStats};
 pub use scorp::Scorp;

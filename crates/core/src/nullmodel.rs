@@ -88,7 +88,7 @@ pub enum ModelKind {
 ///
 /// Evaluating `exp(σ)` costs `O(max_degree)` per support value and the
 /// same supports recur constantly — across sibling branches of the lattice
-/// search, across the workers of [`crate::run_parallel`], and across
+/// search, across the workers of [`crate::Scpm::run_scheduled`], and across
 /// repeated runs on the same graph (parameter sweeps). One `NullModelCache`
 /// behind an [`Arc`] deduplicates all of that work: entries are keyed by
 /// `(model kind, degree threshold z, σ)`, so models with different

@@ -8,7 +8,7 @@
 //!
 //! 1. Level-1 attribute sets are evaluated on the calling thread (their
 //!    reports come first in the output, exactly as in [`Scpm::run`]).
-//! 2. A branch shallower than [`ParallelConfig::split_depth`] is *split*
+//! 2. A branch shallower than `SPLIT_DEPTH` (two levels) is *split*
 //!    down to single ε evaluations: every `base ∪ {sibling}` extension
 //!    becomes its own stealable task, and a per-branch join assembles the
 //!    surviving child class (in sibling order) once the last evaluation
@@ -38,8 +38,8 @@
 //! [`crate::CorrelationEngine`], whose quasi-clique scratch buffers are
 //! recycled across all tasks the worker executes.
 //!
-//! `docs/PARALLELISM.md` covers the design, the determinism argument, and
-//! tuning guidance in detail.
+//! `docs/PARALLELISM.md` covers the design and the determinism argument in
+//! detail.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,57 +54,43 @@ use crate::algorithm::{EnumEntry, Scpm};
 use crate::params::ScpmParams;
 use crate::pattern::ScpmResult;
 
-/// Default [`ParallelConfig::split_depth`]: splitting the top two lattice
-/// levels exposes `O(branches²)` stealable tasks, enough to feed any
-/// realistic worker count, while deeper subtrees stay recursive (task
-/// bookkeeping is wasted on leaves).
-pub const DEFAULT_SPLIT_DEPTH: usize = 2;
+/// Lattice depth down to which branches are split into stealable tasks.
+/// Splitting the top two lattice levels exposes `O(branches²)` stealable
+/// tasks, enough to feed any realistic worker count, while deeper
+/// subtrees stay recursive (task bookkeeping is wasted on leaves).
+const SPLIT_DEPTH: usize = 2;
 
-/// Tuning knobs of the work-stealing driver.
+/// Configuration of the work-stealing driver: its worker count.
 ///
 /// ```
-/// use scpm_core::{run_parallel_with, ParallelConfig, Scpm, ScpmParams};
+/// use scpm_core::{ParallelConfig, Scpm, ScpmParams};
 /// use scpm_graph::figure1::figure1;
 ///
 /// let g = figure1();
 /// let params = ScpmParams::new(3, 0.6, 4).with_eps_min(0.5);
-/// let serial = Scpm::new(&g, params.clone()).run();
-/// let config = ParallelConfig::new(4).with_split_depth(1);
-/// let parallel = run_parallel_with(&g, params, &config);
+/// let scpm = Scpm::new(&g, params);
+/// let serial = scpm.run();
+/// let parallel = scpm.run_scheduled(&ParallelConfig::new(4));
 /// assert_eq!(serial.reports, parallel.reports);
 /// assert_eq!(serial.patterns, parallel.patterns);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
     /// Requested worker count. The driver clamps this to the number of
-    /// tasks the run can actually produce (see [`run_parallel_with`]);
+    /// tasks the run can actually produce (see [`Scpm::run_scheduled`]);
     /// `0` or `1` selects the serial path.
     pub threads: usize,
-    /// Lattice depth down to which branches are split into stealable
-    /// tasks. `0` reproduces branch-level scheduling (one task per level-1
-    /// attribute); each further level multiplies the available tasks and
-    /// shrinks the largest indivisible unit of work.
-    pub split_depth: usize,
 }
 
 impl ParallelConfig {
-    /// A configuration with `threads` workers and the default split depth.
+    /// A configuration with `threads` workers.
     pub fn new(threads: usize) -> Self {
-        ParallelConfig {
-            threads,
-            split_depth: DEFAULT_SPLIT_DEPTH,
-        }
-    }
-
-    /// Sets the split depth, builder style.
-    pub fn with_split_depth(mut self, split_depth: usize) -> Self {
-        self.split_depth = split_depth;
-        self
+        ParallelConfig { threads }
     }
 }
 
 impl Default for ParallelConfig {
-    /// All available hardware threads, default split depth.
+    /// All available hardware threads.
     fn default() -> Self {
         Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
@@ -113,14 +99,14 @@ impl Default for ParallelConfig {
 /// A schedulable unit of lattice work.
 enum Task {
     /// Run branch `branch` of `class` recursively to completion (used at
-    /// and below the split depth). `key` is the branch's lattice key.
+    /// and below [`SPLIT_DEPTH`]). `key` is the branch's lattice key.
     Subtree {
         key: Vec<u32>,
         class: Arc<Vec<EnumEntry>>,
         branch: usize,
     },
     /// Evaluate the single extension `class[branch] ∪ {class[sibling]}` of
-    /// a splitting branch (above the split depth).
+    /// a splitting branch (above [`SPLIT_DEPTH`]).
     Extend {
         join: Arc<BranchJoin>,
         sibling: usize,
@@ -152,14 +138,13 @@ fn spawn_branch(
     depth: usize,
     class: Arc<Vec<EnumEntry>>,
     branch: usize,
-    split_depth: usize,
     pending: &AtomicUsize,
     push: &mut impl FnMut(Task),
 ) {
     if branch + 1 >= class.len() {
         return;
     }
-    if depth >= split_depth {
+    if depth >= SPLIT_DEPTH {
         pending.fetch_add(1, Ordering::AcqRel);
         push(Task::Subtree { key, class, branch });
         return;
@@ -203,61 +188,37 @@ impl SubtreeTrace {
 }
 
 /// Number of *immediately available* tasks for a run with `branches`
-/// level-1 branches: one recursive task per branch at `split_depth = 0`,
-/// or one evaluation task per level-1 `{i, j}` pair when splitting. Used
+/// level-1 branches: one evaluation task per level-1 `{i, j}` pair. Used
 /// to clamp the worker count — workers beyond this bound would start with
 /// nothing to do (splitting can create more tasks later, but never before
 /// these complete).
-fn parallel_task_bound(branches: usize, split_depth: usize) -> usize {
-    if split_depth == 0 {
-        branches
-    } else {
-        branches.saturating_mul(branches.saturating_sub(1)) / 2
-    }
+fn parallel_task_bound(branches: usize) -> usize {
+    branches.saturating_mul(branches.saturating_sub(1)) / 2
 }
 
-/// Runs SCPM with `num_threads` workers and the default split depth.
-///
-/// Output (reports, patterns, counters) is bit-identical to [`Scpm::run`]
-/// at every thread count; only the wall-clock `elapsed` differs.
+/// Like [`Scpm::run_scheduled`] on a fresh miner, but also returns one
+/// [`SubtreeTrace`] per scheduler task, in lattice order. The trace is the
+/// run's exact work decomposition, for load-balance diagnostics that do
+/// not depend on the machine the trace was recorded on. Empty when the
+/// run fell back to the serial path (thread count or worker clamp ≤ 1).
 ///
 /// ```
-/// use scpm_core::{run_parallel, Scpm, ScpmParams};
+/// use scpm_core::{run_parallel_traced, ParallelConfig, Scpm, ScpmParams};
 /// use scpm_graph::figure1::figure1;
 ///
 /// let g = figure1();
-/// let params = ScpmParams::new(3, 0.6, 4).with_eps_min(0.5);
+/// // εmin = 0 keeps every level-1 set extensible, so the run schedules.
+/// let params = ScpmParams::new(2, 0.6, 4).with_eps_min(0.0);
 /// let serial = Scpm::new(&g, params.clone()).run();
-/// let parallel = run_parallel(&g, params, 4);
+/// let (parallel, traces) = run_parallel_traced(&g, params, &ParallelConfig::new(2));
 /// assert_eq!(serial.reports, parallel.reports);
 /// assert_eq!(serial.patterns, parallel.patterns);
+/// // Level 1 runs on the calling thread; the tasks cover the rest.
+/// assert!(!traces.is_empty());
+/// let examined: u64 = traces.iter().map(|t| t.stats.attribute_sets_examined).sum();
+/// let level1 = serial.reports.iter().filter(|r| r.attrs.len() == 1).count() as u64;
+/// assert_eq!(examined + level1, serial.stats.attribute_sets_examined);
 /// ```
-pub fn run_parallel(graph: &AttributedGraph, params: ScpmParams, num_threads: usize) -> ScpmResult {
-    run_parallel_with(graph, params, &ParallelConfig::new(num_threads))
-}
-
-/// Runs SCPM under an explicit [`ParallelConfig`].
-///
-/// The worker count is clamped to the number of immediately available
-/// tasks — e.g. a run
-/// whose level 1 has three surviving branches and `split_depth = 0` spawns
-/// at most three workers regardless of `config.threads`, and a run with no
-/// extensible level-1 sets spawns none. Requesting `threads ≤ 1` (or a
-/// clamp down to ≤ 1) falls back to the serial path.
-pub fn run_parallel_with(
-    graph: &AttributedGraph,
-    params: ScpmParams,
-    config: &ParallelConfig,
-) -> ScpmResult {
-    Scpm::new(graph, params).run_scheduled(config)
-}
-
-/// Like [`run_parallel_with`], but also returns one [`SubtreeTrace`] per
-/// scheduler task, in lattice order. The trace is the run's exact work
-/// decomposition — `crates/bench`'s `exp_speedup` uses it to model the
-/// load balance of a scheduling strategy independently of the machine the
-/// trace was recorded on. Empty when the run fell back to the serial path
-/// (thread count or worker clamp ≤ 1).
 pub fn run_parallel_traced(
     graph: &AttributedGraph,
     params: ScpmParams,
@@ -267,10 +228,14 @@ pub fn run_parallel_traced(
 }
 
 impl<'g> Scpm<'g> {
-    /// Runs this miner under the work-stealing scheduler (the method form
-    /// of [`run_parallel_with`], for callers that pre-build the [`Scpm`] —
-    /// e.g. to inject a shared [`crate::NullModelCache`] via
-    /// [`Scpm::with_cache`] across a parameter sweep).
+    /// Runs this miner under the work-stealing scheduler.
+    ///
+    /// Output (reports, patterns, counters) is bit-identical to
+    /// [`Scpm::run`] at every thread count; only the wall-clock `elapsed`
+    /// differs. The worker count is clamped to the number of immediately
+    /// available tasks, so a run with no extensible level-1 pair spawns
+    /// none; requesting `threads ≤ 1` (or a clamp down to ≤ 1) falls back
+    /// to the serial path.
     pub fn run_scheduled(&self, config: &ParallelConfig) -> ScpmResult {
         run_scheduler(self, config).0
     }
@@ -287,10 +252,7 @@ fn run_scheduler(scpm: &Scpm<'_>, config: &ParallelConfig) -> (ScpmResult, Vec<S
         let engine = scpm.engine();
         scpm.level1_entries(&engine, &mut result)
     };
-    let split_depth = config.split_depth;
-    let workers = config
-        .threads
-        .min(parallel_task_bound(level1.len(), split_depth));
+    let workers = config.threads.min(parallel_task_bound(level1.len()));
     if workers <= 1 {
         // Not enough branches to distribute: finish on this thread.
         let engine = scpm.engine();
@@ -299,8 +261,8 @@ fn run_scheduler(scpm: &Scpm<'_>, config: &ParallelConfig) -> (ScpmResult, Vec<S
         return (result, Vec::new());
     }
 
-    // Seed the injector with the level-1 branches (fanned out to one task
-    // per attribute pair when splitting is on).
+    // Seed the injector with the level-1 branches, fanned out to one task
+    // per attribute pair.
     let class = Arc::new(level1);
     let injector: Injector<Task> = Injector::new();
     let pending = AtomicUsize::new(0);
@@ -310,7 +272,6 @@ fn run_scheduler(scpm: &Scpm<'_>, config: &ParallelConfig) -> (ScpmResult, Vec<S
             0,
             Arc::clone(&class),
             branch,
-            split_depth,
             &pending,
             &mut |task| injector.push(task),
         );
@@ -368,11 +329,10 @@ fn run_scheduler(scpm: &Scpm<'_>, config: &ParallelConfig) -> (ScpmResult, Vec<S
                             parts.lock().push((key, local));
                         }
                         Task::Extend { join, sibling } => {
-                            if let Some(entry) = scpm.extend_pair(
+                            if let Some(entry) = scpm.extend_pair_refs(
                                 &engine,
-                                &join.class,
-                                join.branch,
-                                sibling,
+                                &join.class[join.branch],
+                                &join.class[sibling],
                                 &mut cover_buf,
                                 &mut local,
                             ) {
@@ -399,7 +359,6 @@ fn run_scheduler(scpm: &Scpm<'_>, config: &ParallelConfig) -> (ScpmResult, Vec<S
                                             join.depth + 1,
                                             Arc::clone(&child_class),
                                             branch,
-                                            split_depth,
                                             pending,
                                             &mut |task| own.push(task),
                                         );
@@ -456,76 +415,6 @@ fn steal_from_peers(stealers: &[Stealer<Task>], wid: usize) -> Option<Task> {
     None
 }
 
-/// The PR-1 branch-level driver, retained as the benchmark baseline for
-/// the work-stealing scheduler (and as a third independent implementation
-/// for the determinism tests).
-///
-/// Distributes only level-1 branches over `num_threads` workers (clamped
-/// to the branch count) via an atomic cursor; a single hot branch
-/// serializes on one worker, which is precisely the weakness
-/// [`run_parallel`] removes. Output is bit-identical to [`Scpm::run`].
-pub fn run_parallel_branch_level(
-    graph: &AttributedGraph,
-    params: ScpmParams,
-    num_threads: usize,
-) -> ScpmResult {
-    let scpm = Scpm::new(graph, params);
-    if num_threads <= 1 {
-        return scpm.run();
-    }
-    let start = Instant::now();
-    let mut result = ScpmResult::default();
-    let level1 = {
-        let engine = scpm.engine();
-        scpm.level1_entries(&engine, &mut result)
-    };
-
-    let branches = level1.len();
-    let workers = num_threads.min(branches);
-    let next_branch = AtomicUsize::new(0);
-    let mut branch_results: Vec<ScpmResult> = Vec::new();
-    if workers > 0 {
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let scpm_ref = &scpm;
-                let level1_ref = &level1;
-                let next_ref = &next_branch;
-                handles.push(scope.spawn(move |_| {
-                    let engine = scpm_ref.engine();
-                    // (branch index, branch-local result) pairs.
-                    let mut locals: Vec<(usize, ScpmResult)> = Vec::new();
-                    loop {
-                        let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                        if i >= branches {
-                            break;
-                        }
-                        let mut local = ScpmResult::default();
-                        scpm_ref.enumerate_branch(&engine, level1_ref, i, &mut local);
-                        locals.push((i, local));
-                    }
-                    locals
-                }));
-            }
-            let mut all: Vec<(usize, ScpmResult)> = Vec::new();
-            for handle in handles {
-                all.extend(handle.join().expect("scpm worker panicked"));
-            }
-            all.sort_by_key(|(i, _)| *i);
-            branch_results = all.into_iter().map(|(_, r)| r).collect();
-        })
-        .expect("crossbeam scope failed");
-    }
-
-    for branch in branch_results {
-        result.reports.extend(branch.reports);
-        result.patterns.extend(branch.patterns);
-        result.stats.merge(&branch.stats);
-    }
-    result.stats.elapsed = start.elapsed();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,35 +441,18 @@ mod tests {
     fn parallel_output_equals_serial_in_order() {
         let g = figure1();
         let params = ScpmParams::new(2, 0.6, 4).with_eps_min(0.1);
-        let serial = Scpm::new(&g, params.clone()).run();
+        let scpm = Scpm::new(&g, params);
+        let serial = scpm.run();
         for threads in [1, 2, 4] {
-            for split_depth in [0, 1, 2, 4] {
-                let config = ParallelConfig::new(threads).with_split_depth(split_depth);
-                let parallel = run_parallel_with(&g, params.clone(), &config);
-                assert_eq!(
-                    comparable(&serial),
-                    comparable(&parallel),
-                    "threads = {threads}, split_depth = {split_depth}"
-                );
-                assert_eq!(
-                    serial.stats.attribute_sets_examined,
-                    parallel.stats.attribute_sets_examined
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn branch_level_baseline_matches_serial() {
-        let g = figure1();
-        let params = ScpmParams::new(2, 0.6, 4).with_eps_min(0.1);
-        let serial = Scpm::new(&g, params.clone()).run();
-        for threads in [1, 2, 8] {
-            let baseline = run_parallel_branch_level(&g, params.clone(), threads);
+            let parallel = scpm.run_scheduled(&ParallelConfig::new(threads));
             assert_eq!(
                 comparable(&serial),
-                comparable(&baseline),
+                comparable(&parallel),
                 "threads = {threads}"
+            );
+            assert_eq!(
+                serial.stats.attribute_sets_examined,
+                parallel.stats.attribute_sets_examined
             );
         }
     }
@@ -591,22 +463,21 @@ mod tests {
         // should spawn and the run must still terminate with the (empty)
         // serial result.
         let g = figure1();
-        let params = ScpmParams::new(100, 0.6, 4);
-        let serial = Scpm::new(&g, params.clone()).run();
-        let parallel = run_parallel(&g, params, 8);
+        let scpm = Scpm::new(&g, ScpmParams::new(100, 0.6, 4));
+        let serial = scpm.run();
+        let parallel = scpm.run_scheduled(&ParallelConfig::new(8));
         assert_eq!(comparable(&serial), comparable(&parallel));
         assert!(parallel.reports.is_empty());
     }
 
     #[test]
     fn task_bound_formula() {
-        assert_eq!(parallel_task_bound(0, 0), 0);
-        assert_eq!(parallel_task_bound(5, 0), 5);
-        // Splitting: one evaluation task per level-1 pair.
-        assert_eq!(parallel_task_bound(5, 1), 10);
-        assert_eq!(parallel_task_bound(1, 3), 0);
-        assert_eq!(parallel_task_bound(2, 3), 1);
+        // One evaluation task per level-1 pair.
+        assert_eq!(parallel_task_bound(0), 0);
+        assert_eq!(parallel_task_bound(1), 0);
+        assert_eq!(parallel_task_bound(2), 1);
+        assert_eq!(parallel_task_bound(5), 10);
         // Saturates instead of overflowing.
-        assert_eq!(parallel_task_bound(usize::MAX, 2), usize::MAX / 2);
+        assert_eq!(parallel_task_bound(usize::MAX), usize::MAX / 2);
     }
 }

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use scpm_graph::attributed::{AttrId, AttributedGraph};
 use scpm_graph::csr::VertexId;
-use scpm_quasiclique::QuasiClique;
+use scpm_quasiclique::{QuasiClique, SearchStats};
 
 /// A structural correlation pattern `(S, Q)` (Definition 3): a quasi-clique
 /// `Q` from the subgraph induced by the attribute set `S`.
@@ -59,9 +59,6 @@ pub struct ScpmStats {
     pub attribute_sets_qualified: u64,
     /// Candidate extensions rejected by the support threshold.
     pub pruned_support: u64,
-    /// Candidates rejected by the Apriori all-subsets check (level-wise
-    /// enumeration only).
-    pub pruned_apriori: u64,
     /// Extensions suppressed by Theorem 4 (`ε` upper bound).
     pub pruned_eps_bound: u64,
     /// Extensions suppressed by Theorem 5 (`δ` upper bound).
@@ -105,7 +102,6 @@ impl ScpmStats {
         self.attribute_sets_examined += other.attribute_sets_examined;
         self.attribute_sets_qualified += other.attribute_sets_qualified;
         self.pruned_support += other.pruned_support;
-        self.pruned_apriori += other.pruned_apriori;
         self.pruned_eps_bound += other.pruned_eps_bound;
         self.pruned_delta_bound += other.pruned_delta_bound;
         self.qc_nodes_coverage += other.qc_nodes_coverage;
@@ -117,6 +113,27 @@ impl ScpmStats {
         self.qc_probes_elided += other.qc_probes_elided;
         self.qc_batch_ops += other.qc_batch_ops;
         // `elapsed` is wall-clock and set by the driver, not summed.
+    }
+
+    /// Adds one coverage search's counters.
+    pub(crate) fn add_coverage(&mut self, s: &SearchStats) {
+        self.qc_nodes_coverage += s.nodes_visited;
+        self.add_work(s);
+    }
+
+    /// Adds one top-k (or complete-enumeration) search's counters.
+    pub(crate) fn add_topk(&mut self, s: &SearchStats) {
+        self.qc_nodes_topk += s.nodes_visited;
+        self.add_work(s);
+    }
+
+    fn add_work(&mut self, s: &SearchStats) {
+        self.qc_edge_tests += s.edge_tests;
+        self.qc_kernel_ops += s.kernel_ops;
+        self.qc_fused_ops += s.fused_ops;
+        self.qc_blocks_skipped += s.blocks_skipped;
+        self.qc_probes_elided += s.probes_elided;
+        self.qc_batch_ops += s.batch_ops;
     }
 }
 

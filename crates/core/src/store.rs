@@ -632,7 +632,7 @@ mod tests {
     }
 
     fn full_mine(graph: &AttributedGraph, params: &ScpmParams) -> ScpmResult {
-        crate::parallel::run_parallel_with(graph, params.clone(), &ParallelConfig::new(1))
+        Scpm::new(graph, params.clone()).run_scheduled(&ParallelConfig::new(1))
     }
 
     fn seed(dir: &DataDir) -> (AttributedGraph, ScpmParams, JournalWriter) {

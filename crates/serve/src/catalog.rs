@@ -191,7 +191,6 @@ impl PatternCatalog {
                 Json::Int(s.attribute_sets_qualified),
             ),
             ("pruned_support".into(), Json::Int(s.pruned_support)),
-            ("pruned_apriori".into(), Json::Int(s.pruned_apriori)),
             ("pruned_eps_bound".into(), Json::Int(s.pruned_eps_bound)),
             ("pruned_delta_bound".into(), Json::Int(s.pruned_delta_bound)),
             ("qc_nodes_coverage".into(), Json::Int(s.qc_nodes_coverage)),

@@ -66,7 +66,7 @@ use parking_lot::{Mutex, RwLock};
 
 use scpm_core::{
     checkpoint_with, recover, replay_mine, DataDir, DirtySet, EvalMemo, IncrementalCtx,
-    NullModelCache, ParallelConfig, Scpm, ScpmParams, DEFAULT_SPLIT_DEPTH,
+    NullModelCache, ParallelConfig, Scpm, ScpmParams,
 };
 use scpm_graph::attributed::AttributedGraph;
 use scpm_graph::{DeltaOp, FaultInjector, GraphDelta, JournalWriter};
@@ -124,8 +124,6 @@ pub struct ServeConfig {
     /// Scheduler threads for the startup mine and re-mines (defaults to
     /// `threads`; output is bit-identical at any value).
     pub mine_threads: usize,
-    /// Work-stealing split depth of re-mines (`docs/PARALLELISM.md`).
-    pub split_depth: usize,
     /// Mining parameters of the startup catalog.
     pub params: ScpmParams,
     /// Per-connection socket read timeout; bounds how long an idle or
@@ -150,7 +148,6 @@ impl ServeConfig {
             addr: "127.0.0.1:0".into(),
             threads: threads.max(1),
             mine_threads: threads.max(1),
-            split_depth: DEFAULT_SPLIT_DEPTH,
             params,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
@@ -259,7 +256,6 @@ struct ServerState {
     active: AtomicUsize,
     max_connections: usize,
     mine_threads: usize,
-    split_depth: usize,
     http_threads: usize,
     /// Crash-safe persistence; `None` = purely in-memory serving.
     durable: Option<DurableState>,
@@ -272,7 +268,7 @@ impl ServerState {
         params: &ScpmParams,
         generation: u64,
     ) -> (PatternCatalog, EvalMemo) {
-        let config = ParallelConfig::new(self.mine_threads).with_split_depth(self.split_depth);
+        let config = ParallelConfig::new(self.mine_threads);
         record_mine(&mining.graph, params, &mining.cache, &config, generation)
     }
 
@@ -353,8 +349,7 @@ impl Server {
         // Generation 0: mine before any worker accepts, so the first
         // response already answers from a complete catalog. Recording mode
         // retains the evaluation memo `POST /update` replays from.
-        let mine_config =
-            ParallelConfig::new(config.mine_threads).with_split_depth(config.split_depth);
+        let mine_config = ParallelConfig::new(config.mine_threads);
         let (catalog, memo) = record_mine(&graph, &config.params, &cache, &mine_config, 0);
 
         let durable = match &config.durability {
@@ -411,8 +406,7 @@ impl Server {
         let dir = DataDir::open(&dur.dir)
             .map_err(|e| format!("opening data directory {}: {e}", dur.dir.display()))?;
         let state = recover(&dir).map_err(|e| format!("recovering {}: {e}", dur.dir.display()))?;
-        let mine_config =
-            ParallelConfig::new(config.mine_threads).with_split_depth(config.split_depth);
+        let mine_config = ParallelConfig::new(config.mine_threads);
         let recovered = replay_mine(state, &config.params, &mine_config)
             .map_err(|e| format!("replaying {}: {e}", dur.dir.display()))?;
         let report = RecoveryReport {
@@ -533,7 +527,6 @@ fn boot(
         active: AtomicUsize::new(0),
         max_connections: config.max_connections.max(1),
         mine_threads: config.mine_threads,
-        split_depth: config.split_depth,
         http_threads: config.threads,
         durable,
     });
@@ -979,7 +972,7 @@ fn update(state: &Arc<ServerState>, request: &Request) -> Result<(Json, u64), Ht
 
     // Fresh exp(σ) cache — the null model is a function of the graph.
     let cache = Arc::new(NullModelCache::new());
-    let config = ParallelConfig::new(state.mine_threads).with_split_depth(state.split_depth);
+    let config = ParallelConfig::new(state.mine_threads);
     let params = base.params().clone();
     let graph = Arc::new(applied.graph);
     let mut scpm = Scpm::with_cache(&graph, params.clone(), Arc::clone(&cache))

@@ -10,13 +10,13 @@
 //! scpm mine      --graph g.txt | --snapshot g.snap
 //!                [--sigma-min N] [--gamma F] [--min-size N]
 //!                [--eps-min F] [--delta-min F] [--top-k N] [--order dfs|bfs]
-//!                [--min-attrs N] [--max-attrs N] [--threads N] [--split-depth N]
-//!                [--algo scpm|levelwise|scorp|naive] [--repr bitset|slice|simd] [--limit N]
+//!                [--min-attrs N] [--max-attrs N] [--threads N]
+//!                [--algo scpm|scorp|naive] [--repr bitset|slice|simd] [--limit N]
 //!                [--json] [--mmap] [--memory-budget BYTES]
 //! scpm update    --graph g.txt | --snapshot g.snap --delta d.txt
 //!                [--out g2.snap] [--json] [+ the mine thresholds]
 //! scpm serve     --graph g.txt | --snapshot g.snap [--port N] [--host H]
-//!                [--threads N] [--split-depth N] [+ the mine thresholds]
+//!                [--threads N] [+ the mine thresholds]
 //!                [--data-dir DIR] [--checkpoint-every N]
 //! scpm recover   DIR [--threads N] [+ the mine thresholds]
 //! scpm induce    --graph g.txt --attrs name,name [--dot out.dot]
@@ -43,9 +43,8 @@ use std::sync::Arc;
 
 use scpm_core::report::{render_patterns, render_summary, render_top_tables};
 use scpm_core::{
-    empirical_p_value, run_naive, run_parallel_with, AnalyticalModel, DirtySet, ExactModel,
-    IncrementalCtx, NullModelCache, ParallelConfig, Scorp, Scpm, ScpmParams, SimulationModel,
-    DEFAULT_SPLIT_DEPTH,
+    empirical_p_value, run_naive, AnalyticalModel, DirtySet, ExactModel, IncrementalCtx,
+    NullModelCache, ParallelConfig, Scorp, Scpm, ScpmParams, SimulationModel,
 };
 use scpm_datasets::ingest::{
     detect_format, ingest_files, IdPolicy, IngestOptions, SelfLoopPolicy, SourceFormat,
@@ -113,13 +112,13 @@ const USAGE: &str = "usage:
   scpm mine      --graph <file> | --snapshot <file.snap>
                  [--sigma-min N] [--gamma F] [--min-size N]
                  [--eps-min F] [--delta-min F] [--top-k N] [--order dfs|bfs]
-                 [--min-attrs N] [--max-attrs N] [--threads N] [--split-depth N]
-                 [--algo scpm|levelwise|scorp|naive] [--repr bitset|slice|simd] [--limit N]
+                 [--min-attrs N] [--max-attrs N] [--threads N]
+                 [--algo scpm|scorp|naive] [--repr bitset|slice|simd] [--limit N]
                  [--json] [--mmap] [--memory-budget BYTES]   (zero-copy out-of-core mine)
   scpm update    --graph <file> | --snapshot <file.snap> --delta <file>
                  [--out <file>[.snap]] [--json] [+ the mine thresholds]
   scpm serve     --graph <file> | --snapshot <file.snap> [--port N] [--host H]
-                 [--threads N] [--split-depth N] [+ the mine thresholds]
+                 [--threads N] [+ the mine thresholds]
                  [--data-dir <dir>] [--checkpoint-every N]
   scpm recover   <dir> [--threads N] [+ the mine thresholds]
   scpm induce    --graph <file> --attrs name,name [--dot <file>]
@@ -435,9 +434,6 @@ fn mine(flags: &Flags) -> Result<(), String> {
     let catalog_params = params.clone();
     let limit = flags.num("limit", 10usize)?;
     let threads = flags.num("threads", 1usize)?;
-    // Work-stealing task granularity; deeper splits expose more stealable
-    // subtrees on skewed lattices (docs/PARALLELISM.md).
-    let split_depth = flags.num("split-depth", DEFAULT_SPLIT_DEPTH)?;
     let algo = if flags.flag("naive") {
         "naive"
     } else {
@@ -446,20 +442,8 @@ fn mine(flags: &Flags) -> Result<(), String> {
     let result = match algo {
         "naive" => run_naive(&graph, &params),
         "scorp" => Scorp::new(&graph, params).run(),
-        "levelwise" => Scpm::new(&graph, params).run_levelwise(),
-        "scpm" => {
-            if threads > 1 {
-                let config = ParallelConfig::new(threads).with_split_depth(split_depth);
-                run_parallel_with(&graph, params, &config)
-            } else {
-                Scpm::new(&graph, params).run()
-            }
-        }
-        other => {
-            return Err(format!(
-                "invalid --algo `{other}` (want scpm|levelwise|scorp|naive)"
-            ))
-        }
+        "scpm" => Scpm::new(&graph, params).run_scheduled(&ParallelConfig::new(threads)),
+        other => return Err(format!("invalid --algo `{other}` (want scpm|scorp|naive)")),
     };
     if flags.flag("json") {
         // The catalog dump: byte-identical to what `scpm serve` answers
@@ -494,9 +478,7 @@ fn update(flags: &Flags) -> Result<(), String> {
     let applied = delta
         .apply(&base)
         .map_err(|e| format!("{delta_path}: {e}"))?;
-    let threads = flags.num("threads", 1usize)?;
-    let split_depth = flags.num("split-depth", DEFAULT_SPLIT_DEPTH)?;
-    let config = ParallelConfig::new(threads).with_split_depth(split_depth);
+    let config = ParallelConfig::new(flags.num("threads", 1usize)?);
 
     // Generation 0: record the evaluation memo on the base graph. (The
     // serve layer keeps this memo alive across updates; the CLI rebuilds
@@ -566,10 +548,8 @@ fn serve(flags: &Flags) -> Result<(), String> {
     let host = flags.str("host").unwrap_or("127.0.0.1");
     let port = flags.num("port", 7474u16)?;
     let threads = flags.num("threads", 4usize)?;
-    let split_depth = flags.num("split-depth", DEFAULT_SPLIT_DEPTH)?;
     let mut config =
         scpm_serve::ServeConfig::new(params, threads).with_addr(format!("{host}:{port}"));
-    config.split_depth = split_depth;
 
     let server = match flags.str("data-dir") {
         None => scpm_serve::Server::start(load(flags)?, config)?,
@@ -639,7 +619,6 @@ fn recover_cmd(flags: &Flags) -> Result<(), String> {
     let dir_path = flags.required("data-dir")?;
     let params = params_from(flags)?;
     let threads = flags.num("threads", 1usize)?;
-    let split_depth = flags.num("split-depth", DEFAULT_SPLIT_DEPTH)?;
     let dir = scpm_core::DataDir::open(dir_path)
         .map_err(|e| format!("opening data directory {dir_path}: {e}"))?;
     let state = scpm_core::recover(&dir).map_err(|e| format!("recovering {dir_path}: {e}"))?;
@@ -657,7 +636,7 @@ fn recover_cmd(flags: &Flags) -> Result<(), String> {
             torn.dropped_bytes, torn.valid_len
         );
     }
-    let config = ParallelConfig::new(threads).with_split_depth(split_depth);
+    let config = ParallelConfig::new(threads);
     let mine = scpm_core::replay_mine(state, &params, &config)
         .map_err(|e| format!("replaying {dir_path}: {e}"))?;
     if mine.memo_replayed {
@@ -947,7 +926,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig1.txt");
         save_attributed(&scpm_graph::figure1::figure1(), &path).unwrap();
-        for algo in ["scpm", "levelwise", "scorp", "naive"] {
+        for algo in ["scpm", "scorp", "naive"] {
             let f = parse(&[
                 "--graph",
                 path.to_str().unwrap(),

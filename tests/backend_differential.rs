@@ -11,7 +11,7 @@
 //! under both feature configurations — CI's feature-matrix job does
 //! exactly that.
 
-use scpm_core::{run_parallel_with, ParallelConfig, Scpm, ScpmParams, ScpmResult, ScpmStats};
+use scpm_core::{ParallelConfig, Scpm, ScpmParams, ScpmResult, ScpmStats};
 use scpm_datasets::dblp_like;
 use scpm_graph::figure1::figure1;
 use scpm_graph::AttributedGraph;
@@ -48,7 +48,7 @@ fn sweep(g: &AttributedGraph, params: ScpmParams) {
             Representation::Bitset,
             Representation::Simd,
         ] {
-            let run = run_parallel_with(g, params.clone().with_repr(repr), &config);
+            let run = Scpm::new(g, params.clone().with_repr(repr)).run_scheduled(&config);
             assert_eq!(
                 fingerprint(&run),
                 ref_print,

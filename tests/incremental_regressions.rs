@@ -3,13 +3,15 @@
 //! Each test applies one hand-crafted delta whose effect on the Table-1
 //! catalog is known in advance — a new pattern appears, an existing one
 //! dies, only ε of a survivor moves, or nothing mined is touched at all —
-//! and asserts three things:
+//! and asserts four things:
 //!
 //! 1. **Dirty-set exactness**: `DirtySet::from_delta` marks exactly the
 //!    attribute sets whose `V(S)` or `G(S)` changed (Theorems 3–5 justify
 //!    leaving the rest untouched), no more and no fewer.
 //! 2. **Catalog effect**: the predicted pattern-level change happened.
 //! 3. **Byte-identity**: the incremental catalog equals a full re-mine.
+//! 4. **Work accounting**: live plus reused kernel work is the run's
+//!    `qc_kernel_ops`, so no search escapes both counters.
 
 use std::sync::Arc;
 
@@ -46,13 +48,21 @@ fn record_mine(graph: &AttributedGraph, params: &ScpmParams) -> (ScpmResult, Eva
     (result, memo)
 }
 
-/// Applies `delta` to Figure 1, mines it incrementally off a recorded
-/// memo, asserts byte-identity with a full re-mine, and returns the
-/// updated graph, its result, the dirty set, and the incremental stats.
+/// [`drive_with`] under the Table-1 parameters.
 fn drive(delta: &str) -> (AttributedGraph, ScpmResult, DirtySet, IncrementalStats) {
+    drive_with(&table1_params(), delta)
+}
+
+/// Applies `delta` to Figure 1, mines it incrementally off a recorded
+/// memo, asserts byte-identity with a full re-mine and the work
+/// accounting, and returns the updated graph, its result, the dirty set,
+/// and the incremental stats.
+fn drive_with(
+    params: &ScpmParams,
+    delta: &str,
+) -> (AttributedGraph, ScpmResult, DirtySet, IncrementalStats) {
     let base = figure1();
-    let params = table1_params();
-    let (_, memo) = record_mine(&base, &params);
+    let (_, memo) = record_mine(&base, params);
     let applied = GraphDelta::parse(delta).unwrap().apply(&base).unwrap();
     let dirty = DirtySet::from_delta(&applied.graph, &applied);
     let mut scpm = Scpm::with_cache(
@@ -67,9 +77,14 @@ fn drive(delta: &str) -> (AttributedGraph, ScpmResult, DirtySet, IncrementalStat
     let result = scpm.run_scheduled(&ParallelConfig::new(1));
     let (_, stats) = scpm.take_incremental().unwrap().into_parts();
     assert_eq!(
-        catalog_json(&applied.graph, &params, result.clone()),
-        catalog_json(&applied.graph, &params, full_mine(&applied.graph, &params)),
+        catalog_json(&applied.graph, params, result.clone()),
+        catalog_json(&applied.graph, params, full_mine(&applied.graph, params)),
         "incremental catalog diverged from full re-mine"
+    );
+    assert_eq!(
+        stats.live_kernel_ops + stats.reused_kernel_ops,
+        result.stats.qc_kernel_ops,
+        "live + reused kernel work must account for every search"
     );
     (applied.graph, result, dirty, stats)
 }
@@ -218,4 +233,32 @@ fn delta_touching_no_mined_attributes_dirties_nothing() {
     assert_eq!(stats.reevaluated, 0, "nothing may be evaluated live");
     assert_eq!(stats.reused, examined, "every examined set must replay");
     assert_eq!(result.patterns.len(), 7, "Table 1 is untouched");
+}
+
+/// The same attribute-free vertex leaves every `V(S)` and `G(S)` alone but
+/// shifts the null model: ε({A}) stays 9/11 while δ_lb({A}) rises from
+/// 0.818 to 0.921. With δmin = 0.87, {A} is replayed from the memo yet
+/// newly qualifies, so its first top-k search runs live — and that work
+/// must be counted as live, not dropped from both counters.
+#[test]
+fn replayed_set_that_newly_qualifies_counts_its_top_k_as_live() {
+    let params = table1_params().with_delta_min(0.87);
+    let base = figure1();
+    let a = base.attr_id("A").unwrap();
+    let base_a = full_mine(&base, &params).report_for(&[a]).unwrap().clone();
+    assert!((base_a.delta_lb - 0.818).abs() < 1e-3);
+    assert!(!base_a.qualified, "δ_lb = 0.818 < δmin = 0.87");
+
+    let (_, result, dirty, stats) = drive_with(&params, "v 1\ne 11 0\n");
+
+    assert!(dirty.is_empty());
+    assert_eq!(stats.reevaluated, 0, "every set replays");
+    let new_a = result.report_for(&[a]).unwrap();
+    assert!((new_a.delta_lb - 0.921).abs() < 1e-3);
+    assert!(new_a.qualified, "δ_lb = 0.921 clears δmin = 0.87");
+    assert!(result.patterns.iter().any(|p| p.attrs == vec![a]));
+    assert!(
+        stats.live_kernel_ops > 0,
+        "the top-k search of {{A}} ran live"
+    );
 }

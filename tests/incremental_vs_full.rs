@@ -8,7 +8,9 @@
 //! delta stream (vertex/edge/attribute insertions, including no-op
 //! duplicates of existing edges and assignments), applies the deltas one
 //! at a time, and compares the chained incremental catalog JSON against a
-//! fresh full mine after each step. A directed CLI chain drives the same
+//! fresh full mine after each step. Each step also checks the work
+//! accounting: live plus reused kernel work equals the run's
+//! `qc_kernel_ops`. A directed CLI chain drives the same
 //! invariant through the actual `scpm update` binary against
 //! `scpm mine` on the updated snapshot.
 //!
@@ -98,6 +100,14 @@ fn assert_chain_identical(
         let ctx = scpm.take_incremental().unwrap();
         let stats = ctx.stats();
         let (new_memo, _) = ctx.into_parts();
+        prop_assert_eq!(
+            stats.live_kernel_ops + stats.reused_kernel_ops,
+            result.stats.qc_kernel_ops,
+            "step {} lost kernel work from both counters (repr {:?}, {} threads)",
+            step,
+            repr,
+            threads
+        );
         let incremental = catalog_json(&applied.graph, &params, result);
         let full = full_mine(&applied.graph, &params, &config);
         prop_assert_eq!(

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use scpm_core::report::{render_patterns, render_top_tables};
-use scpm_core::{run_parallel_with, ParallelConfig, Scpm, ScpmParams, ScpmResult};
+use scpm_core::{ParallelConfig, Scpm, ScpmParams, ScpmResult};
 use scpm_datasets::dblp_like;
 use scpm_datasets::ingest::{
     canonicalize_attributes, ingest_files, IngestOptions, SourceFormat, UnknownVertexPolicy,
@@ -67,7 +67,7 @@ fn on_disk_pipeline_is_byte_identical_to_in_memory() {
     let snap = dir.join("g.snap");
     snapshot::save_snapshot(&ingested.graph, &snap).unwrap();
     let loaded = snapshot::load_snapshot(&snap).unwrap();
-    let mined_disk = run_parallel_with(&loaded, params(), &ParallelConfig::new(2));
+    let mined_disk = Scpm::new(&loaded, params()).run_scheduled(&ParallelConfig::new(2));
 
     // In-memory path: canonical form of the very same graph, serial mine.
     let reference = canonicalize_attributes(&graph);

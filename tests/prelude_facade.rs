@@ -48,8 +48,7 @@ fn prelude_exposes_parallel_driver_and_null_cache() {
     let g = figure1();
     let params = ScpmParams::new(3, 0.6, 4).with_eps_min(0.5);
     let serial = Scpm::new(&g, params.clone()).run();
-    let config = ParallelConfig::new(2).with_split_depth(DEFAULT_SPLIT_DEPTH);
-    let parallel = run_parallel_with(&g, params.clone(), &config);
+    let parallel = Scpm::new(&g, params.clone()).run_scheduled(&ParallelConfig::new(2));
     assert_eq!(serial.reports, parallel.reports);
 
     let cache = std::sync::Arc::new(NullModelCache::new());

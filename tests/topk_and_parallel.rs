@@ -1,13 +1,12 @@
 //! Top-k consistency (§3.2.3) and parallel-driver equivalence on dataset
-//! graphs: the work-stealing scheduler, the branch-level baseline, and the
-//! shared null-model cache must all be invisible in the output.
+//! graphs: the work-stealing scheduler and the shared null-model cache
+//! must both be invisible in the output.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use scpm_core::{
-    run_naive, run_parallel, run_parallel_branch_level, run_parallel_with, AnalyticalModel,
-    NullModelCache, ParallelConfig, Scpm, ScpmParams, ScpmResult, DEFAULT_SPLIT_DEPTH,
+    run_naive, AnalyticalModel, NullModelCache, ParallelConfig, Scpm, ScpmParams, ScpmResult,
 };
 use scpm_datasets::{dblp_like, lastfm_like};
 use scpm_graph::generators::erdos_renyi::gnm;
@@ -122,28 +121,16 @@ fn determinism_sweep_on_planted_partition_graph() {
         .with_eps_min(0.1)
         .with_top_k(3)
         .with_max_attrs(3);
-    let serial = Scpm::new(g, params.clone()).run();
+    let scpm = Scpm::new(g, params);
+    let serial = scpm.run();
     let reference = fingerprint(&serial);
     for threads in [1usize, 2, 4, 8] {
-        for split_depth in [0usize, DEFAULT_SPLIT_DEPTH] {
-            let config = ParallelConfig::new(threads).with_split_depth(split_depth);
-            let run = run_parallel_with(g, params.clone(), &config);
-            assert_eq!(
-                fingerprint(&run),
-                reference,
-                "threads {threads}, split_depth {split_depth}"
-            );
-            let mut stats = run.stats;
-            stats.elapsed = serial.stats.elapsed;
-            assert_eq!(
-                stats, serial.stats,
-                "threads {threads}, split_depth {split_depth}"
-            );
-        }
+        let run = scpm.run_scheduled(&ParallelConfig::new(threads));
+        assert_eq!(fingerprint(&run), reference, "threads {threads}");
+        let mut stats = run.stats;
+        stats.elapsed = serial.stats.elapsed;
+        assert_eq!(stats, serial.stats, "threads {threads}");
     }
-    // The retained branch-level baseline is a third independent driver.
-    let legacy = run_parallel_branch_level(g, params.clone(), 4);
-    assert_eq!(fingerprint(&legacy), reference, "branch-level baseline");
 }
 
 proptest! {
@@ -184,9 +171,10 @@ fn parallel_equals_serial_on_dataset() {
         .with_eps_min(0.1)
         .with_top_k(3)
         .with_max_attrs(3);
-    let serial = Scpm::new(g, params.clone()).run();
+    let scpm = Scpm::new(g, params);
+    let serial = scpm.run();
     for threads in [2, 4, 8] {
-        let parallel = run_parallel(g, params.clone(), threads);
+        let parallel = scpm.run_scheduled(&ParallelConfig::new(threads));
         assert_eq!(
             pattern_rows(&serial),
             pattern_rows(&parallel),
