@@ -8,7 +8,6 @@
 //! graph to the parents' covered vertices before mining.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use scpm_graph::attributed::{AttrId, AttributedGraph};
 use scpm_graph::csr::{intersect_into, VertexId};
@@ -17,6 +16,7 @@ use scpm_itemset::Tidset;
 use crate::correlation::CorrelationEngine;
 use crate::incremental::{EvalRecord, IncrementalCtx};
 use crate::nullmodel::{AnalyticalModel, NullModelCache};
+use crate::parallel::ParallelConfig;
 use crate::params::ScpmParams;
 use crate::pattern::{AttributeSetReport, Pattern, ScpmResult};
 
@@ -47,6 +47,14 @@ pub(crate) struct EnumEntry {
     /// parents are stable; entries evaluated live are conservatively
     /// unstable. Non-incremental runs never read the flag.
     pub stable: bool,
+}
+
+impl EnumEntry {
+    /// The attribute this entry added to its prefix class — its position
+    /// in the class, and its part of every lattice key below it.
+    pub fn last_attr(&self) -> AttrId {
+        *self.attrs.last().expect("non-empty attribute set")
+    }
 }
 
 /// The SCPM miner. Construct once per graph/parameter combination and call
@@ -189,35 +197,10 @@ impl<'g> Scpm<'g> {
         )
     }
 
-    /// Runs SCPM and returns all reports, patterns and counters.
+    /// Runs SCPM and returns all reports, patterns and counters: the
+    /// scheduler's walk with one worker, on the calling thread.
     pub fn run(&self) -> ScpmResult {
-        let start = Instant::now();
-        let engine = self.engine();
-        let mut result = ScpmResult::default();
-        let level1 = self.level1_entries(&engine, &mut result);
-        self.enumerate_class(&engine, &level1, &mut result);
-        result.stats.elapsed = start.elapsed();
-        result
-    }
-
-    /// Level 1 of Algorithm 2: frequent single attributes, their ε/δ and
-    /// the survivors of the extension gates.
-    pub(crate) fn level1_entries(
-        &self,
-        engine: &CorrelationEngine<'g>,
-        result: &mut ScpmResult,
-    ) -> Vec<EnumEntry> {
-        let mut entries = Vec::new();
-        for a in self.graph.attributes() {
-            if self.graph.support(a) < self.params.sigma_min {
-                continue;
-            }
-            let tids = Tidset::from_sorted(self.graph.vertices_with(a).to_vec());
-            if let Some(entry) = self.evaluate(engine, vec![a], tids, None, None, true, result) {
-                entries.push(entry);
-            }
-        }
-        entries
+        self.run_scheduled(&ParallelConfig::new(1))
     }
 
     /// Evaluates one attribute set: obtains its ε outcome, records the
@@ -379,22 +362,10 @@ impl<'g> Scpm<'g> {
         })
     }
 
-    /// Algorithm 3 over a prefix class: every entry is extended with each
-    /// later entry of the same class, depth-first.
-    pub(crate) fn enumerate_class(
-        &self,
-        engine: &CorrelationEngine<'g>,
-        class: &[EnumEntry],
-        result: &mut ScpmResult,
-    ) {
-        for i in 0..class.len() {
-            self.enumerate_branch(engine, class, i, result);
-        }
-    }
-
     /// One branch of Algorithm 3: extends `class[i]` with every later
     /// sibling (emitting their reports/patterns into `result` in sibling
-    /// order), then recurses into the surviving child class.
+    /// order), then recurses into each branch of the surviving child
+    /// class, depth-first.
     pub(crate) fn enumerate_branch(
         &self,
         engine: &CorrelationEngine<'g>,
@@ -411,8 +382,8 @@ impl<'g> Scpm<'g> {
                 next.push(entry);
             }
         }
-        if !next.is_empty() {
-            self.enumerate_class(engine, &next, result);
+        for j in 0..next.len() {
+            self.enumerate_branch(engine, &next, j, result);
         }
     }
 
@@ -420,11 +391,7 @@ impl<'g> Scpm<'g> {
     /// new attribute, emitting its report into `result` and returning the
     /// child [`EnumEntry`] when the set stays extensible. `cover_buf` is
     /// caller-provided scratch for the Theorem 3 cover intersection. This
-    /// is the work-stealing driver's finest task granularity; the
-    /// out-of-core driver ([`crate::segments`]) calls it with `sibling`
-    /// entries it materializes one at a time from spilled covers and the
-    /// mapped inverted index, so a root's whole sibling class never has to
-    /// be resident at once.
+    /// is the scheduler's finest task granularity.
     pub(crate) fn extend_pair_refs(
         &self,
         engine: &CorrelationEngine<'g>,
@@ -443,7 +410,7 @@ impl<'g> Scpm<'g> {
             return None;
         };
         let mut attrs = base.attrs.clone();
-        attrs.push(*sibling.attrs.last().expect("non-empty attribute set"));
+        attrs.push(sibling.last_attr());
         // Theorem 3: the child's cover is contained in both parents'.
         let parent_cover = if self.params.prune.vertex_pruning {
             intersect_into(&base.cover, &sibling.cover, cover_buf);

@@ -75,6 +75,6 @@ pub use pattern::{describe_patterns, AttributeSetReport, Pattern, ScpmResult, Sc
 pub use scorp::Scorp;
 pub use segments::mine_mapped;
 pub use store::{
-    checkpoint, checkpoint_with, recover, replay_mine, DataDir, RecoveredMine, RecoveredState,
-    StoreError,
+    checkpoint, checkpoint_with, mine_step, recover, replay_mine, DataDir, RecoveredMine,
+    RecoveredState, StoreError,
 };

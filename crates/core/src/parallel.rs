@@ -1,13 +1,10 @@
-//! Work-stealing parallel SCPM driver.
+//! The lattice walk: the one driver behind every SCPM mine.
 //!
-//! The branches of Algorithm 3 rooted at different level-1 attributes are
-//! independent, but they are wildly *unbalanced*: a DBLP-style hub
-//! attribute (`data`, `system`, …) owns most of the lattice below it, so a
-//! driver that only distributes level-1 branches serializes on whichever
-//! worker drew the hub. This module instead schedules **subtrees**:
+//! [`Scpm::run`], [`Scpm::run_scheduled`], [`run_parallel_traced`] and the
+//! out-of-core [`mine_mapped`](crate::segments::mine_mapped) all produce
+//! their output through [`walk`] and [`merge`]:
 //!
-//! 1. Level-1 attribute sets are evaluated on the calling thread (their
-//!    reports come first in the output, exactly as in [`Scpm::run`]).
+//! 1. Level-1 attribute sets are evaluated on the calling thread.
 //! 2. A branch shallower than `SPLIT_DEPTH` (two levels) is *split*
 //!    down to single ε evaluations: every `base ∪ {sibling}` extension
 //!    becomes its own stealable task, and a per-branch join assembles the
@@ -20,18 +17,21 @@
 //!
 //! Tasks start in a shared [`crossbeam::deque::Injector`]; workers push
 //! follow-on tasks to per-worker LIFO deques and steal FIFO from each
-//! other when idle.
+//! other when idle. The calling thread is always worker 0, so a one-worker
+//! walk (the serial mine) runs the same task loop without spawning.
 //!
-//! **Determinism.** Every task result is tagged with a *lattice key*
-//! derived from its position in the enumeration tree: a branch with key
-//! `P` stores the report of its `j`-th sibling evaluation under
-//! `P ++ [0, j]` and its `b`-th child branch under `P ++ [1, b]`. Those
-//! keys sort (lexicographically) exactly like the serial depth-first
-//! traversal — all of a branch's evaluations precede all of its
-//! descendants' — so sorting the per-task results by key and concatenating
-//! reconstructs [`Scpm::run`]'s output bit-for-bit, no matter which worker
-//! ran what when. The scheduler's only observable effect is wall-clock
-//! time.
+//! **Determinism.** Every part of the output is keyed by attribute ids:
+//! the level-1 report of root `a` is keyed `[0, a]` and the branch of
+//! root `a` is `[1, a]`; inside a branch with key `P`, the extension by
+//! sibling `b` is keyed `P ++ [0, b]` and the child branch whose last
+//! attribute is `b` is `P ++ [1, b]`. Classes are in ascending attribute
+//! order, so those keys sort (lexicographically) exactly like the
+//! depth-first traversal — all level-1 reports first, then each branch's
+//! evaluations before all of its descendants'. Sorting the parts by key
+//! and concatenating gives the same output no matter which worker ran
+//! what when, and parts from different segments of an out-of-core mine
+//! merge with no global index. The scheduler's only observable effect is
+//! wall-clock time.
 //!
 //! Workers share one [`Scpm`] (hence one [`crate::NullModelCache`] —
 //! `exp(σ)` is computed once per support globally) and each owns one
@@ -48,9 +48,11 @@ use std::time::Instant;
 use crossbeam::deque::{Injector, Stealer, Worker};
 use parking_lot::Mutex;
 
-use scpm_graph::attributed::AttributedGraph;
+use scpm_graph::attributed::{AttrId, AttributedGraph};
+use scpm_itemset::Tidset;
 
 use crate::algorithm::{EnumEntry, Scpm};
+use crate::correlation::CorrelationEngine;
 use crate::params::ScpmParams;
 use crate::pattern::ScpmResult;
 
@@ -78,7 +80,7 @@ const SPLIT_DEPTH: usize = 2;
 pub struct ParallelConfig {
     /// Requested worker count. The driver clamps this to the number of
     /// tasks the run can actually produce (see [`Scpm::run_scheduled`]);
-    /// `0` or `1` selects the serial path.
+    /// `0` or `1` runs one worker on the calling thread.
     pub threads: usize,
 }
 
@@ -95,6 +97,10 @@ impl Default for ParallelConfig {
         Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 }
+
+/// One piece of a run's output — a level-1 evaluation or one scheduler
+/// task's reports, patterns and counters — under its lattice key.
+pub(crate) type Part = (Vec<u32>, ScpmResult);
 
 /// A schedulable unit of lattice work.
 enum Task {
@@ -129,14 +135,14 @@ struct BranchJoin {
     survivors: Mutex<Vec<(usize, EnumEntry)>>,
 }
 
-/// Queues branch `branch` of `class` (at lattice key `key`, depth `depth`)
-/// as either one recursive task or a fan of per-sibling evaluation tasks,
-/// bumping `pending` once per queued task. A branch with no later siblings
-/// does nothing — exactly like the serial extension loop.
+/// Queues branch `branch` of `class` (under the parent key `prefix`, at
+/// depth `depth`) as either one recursive task or a fan of per-sibling
+/// evaluation tasks, bumping `pending` once per queued task. A branch
+/// with no later siblings does nothing.
 fn spawn_branch(
-    key: Vec<u32>,
+    prefix: &[u32],
     depth: usize,
-    class: Arc<Vec<EnumEntry>>,
+    class: &Arc<Vec<EnumEntry>>,
     branch: usize,
     pending: &AtomicUsize,
     push: &mut impl FnMut(Task),
@@ -144,21 +150,26 @@ fn spawn_branch(
     if branch + 1 >= class.len() {
         return;
     }
+    let mut key = prefix.to_vec();
+    key.extend([1, class[branch].last_attr()]);
     if depth >= SPLIT_DEPTH {
         pending.fetch_add(1, Ordering::AcqRel);
-        push(Task::Subtree { key, class, branch });
+        push(Task::Subtree {
+            key,
+            class: Arc::clone(class),
+            branch,
+        });
         return;
     }
-    let siblings = class.len() - branch - 1;
     let join = Arc::new(BranchJoin {
         key,
         depth,
         branch,
-        remaining: AtomicUsize::new(siblings),
+        remaining: AtomicUsize::new(class.len() - branch - 1),
         survivors: Mutex::new(Vec::new()),
-        class,
+        class: Arc::clone(class),
     });
-    for sibling in (join.branch + 1)..join.class.len() {
+    for sibling in (branch + 1)..class.len() {
         pending.fetch_add(1, Ordering::AcqRel);
         push(Task::Extend {
             join: Arc::clone(&join),
@@ -171,7 +182,9 @@ fn spawn_branch(
 /// (see [`run_parallel_traced`]).
 #[derive(Clone, Debug)]
 pub struct SubtreeTrace {
-    /// Lattice path of the task (branch indices from the root).
+    /// Lattice key of the task: `[1, a]` for the branch of root `a`,
+    /// extended by `[0, b]` for the evaluation of sibling `b` and by
+    /// `[1, b]` for the child branch whose last attribute is `b`.
     pub path: Vec<u32>,
     /// The task's counters; `qc_nodes_coverage + qc_nodes_topk` is a
     /// hardware-independent proxy for the task's compute cost.
@@ -199,8 +212,9 @@ fn parallel_task_bound(branches: usize) -> usize {
 /// Like [`Scpm::run_scheduled`] on a fresh miner, but also returns one
 /// [`SubtreeTrace`] per scheduler task, in lattice order. The trace is the
 /// run's exact work decomposition, for load-balance diagnostics that do
-/// not depend on the machine the trace was recorded on. Empty when the
-/// run fell back to the serial path (thread count or worker clamp ≤ 1).
+/// not depend on the machine the trace was recorded on. Level-1
+/// evaluations are not tasks and have no trace; a run with at most one
+/// extensible level-1 set has no tasks at all.
 ///
 /// ```
 /// use scpm_core::{run_parallel_traced, ParallelConfig, Scpm, ScpmParams};
@@ -230,166 +244,209 @@ pub fn run_parallel_traced(
 impl<'g> Scpm<'g> {
     /// Runs this miner under the work-stealing scheduler.
     ///
-    /// Output (reports, patterns, counters) is bit-identical to
-    /// [`Scpm::run`] at every thread count; only the wall-clock `elapsed`
-    /// differs. The worker count is clamped to the number of immediately
-    /// available tasks, so a run with no extensible level-1 pair spawns
-    /// none; requesting `threads ≤ 1` (or a clamp down to ≤ 1) falls back
-    /// to the serial path.
+    /// Output (reports, patterns, counters) is bit-identical at every
+    /// thread count; only the wall-clock `elapsed` differs. The worker
+    /// count is clamped to the number of immediately available tasks, so
+    /// a run with no extensible level-1 pair spawns no thread; with one
+    /// worker the calling thread runs every task itself.
     pub fn run_scheduled(&self, config: &ParallelConfig) -> ScpmResult {
         run_scheduler(self, config).0
     }
 }
 
-/// The scheduler proper (see the module docs for the design).
+/// Mines the whole in-memory graph: every frequent attribute is a root.
 fn run_scheduler(scpm: &Scpm<'_>, config: &ParallelConfig) -> (ScpmResult, Vec<SubtreeTrace>) {
-    if config.threads <= 1 {
-        return (scpm.run(), Vec::new());
-    }
     let start = Instant::now();
-    let mut result = ScpmResult::default();
-    let level1 = {
-        let engine = scpm.engine();
-        scpm.level1_entries(&engine, &mut result)
-    };
-    let workers = config.threads.min(parallel_task_bound(level1.len()));
-    if workers <= 1 {
-        // Not enough branches to distribute: finish on this thread.
-        let engine = scpm.engine();
-        scpm.enumerate_class(&engine, &level1, &mut result);
-        result.stats.elapsed = start.elapsed();
-        return (result, Vec::new());
-    }
+    let graph = scpm.graph();
+    let sigma_min = scpm.params().sigma_min;
+    let roots = graph
+        .attributes()
+        .filter(|&a| graph.support(a) >= sigma_min)
+        .map(|a| {
+            let tids = Tidset::from_sorted(graph.vertices_with(a).to_vec());
+            Ok::<_, std::convert::Infallible>((a, tids))
+        });
+    let mut parts = Vec::new();
+    let Ok(_) = walk(scpm, roots, Vec::new(), config.threads, &mut parts);
+    let (mut result, traces) = merge(parts);
+    result.stats.elapsed = start.elapsed();
+    (result, traces)
+}
 
-    // Seed the injector with the level-1 branches, fanned out to one task
-    // per attribute pair.
-    let class = Arc::new(level1);
+/// The walk over the branches of `roots`. Evaluates each root at level 1
+/// on the calling thread, then extends every surviving root with each
+/// later survivor and then with each entry of `carried` (survivors of
+/// roots walked earlier, all with larger attribute ids), on up to
+/// `threads` workers. Pushes one keyed [`Part`] per level-1 evaluation and
+/// per task into `parts`, and returns the roots' survivors followed by
+/// `carried`.
+pub(crate) fn walk<E>(
+    scpm: &Scpm<'_>,
+    roots: impl IntoIterator<Item = Result<(AttrId, Tidset), E>>,
+    carried: Vec<EnumEntry>,
+    threads: usize,
+    parts: &mut Vec<Part>,
+) -> Result<Vec<EnumEntry>, E> {
+    let engine = scpm.engine();
+    let mut class = Vec::new();
+    for root in roots {
+        let (a, tids) = root?;
+        let mut part = ScpmResult::default();
+        if let Some(entry) = scpm.evaluate(&engine, vec![a], tids, None, None, true, &mut part) {
+            class.push(entry);
+        }
+        parts.push((vec![0, a], part));
+    }
+    let branches = class.len();
+    class.extend(carried);
+    let class = Arc::new(class);
+
     let injector: Injector<Task> = Injector::new();
     let pending = AtomicUsize::new(0);
-    for branch in 0..class.len() {
-        spawn_branch(
-            vec![branch as u32],
-            0,
-            Arc::clone(&class),
-            branch,
-            &pending,
-            &mut |task| injector.push(task),
-        );
+    for branch in 0..branches {
+        spawn_branch(&[], 0, &class, branch, &pending, &mut |task| {
+            injector.push(task)
+        });
     }
-
+    let workers = threads.min(parallel_task_bound(branches)).max(1);
     let queues: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<Stealer<Task>> = queues.iter().map(Worker::stealer).collect();
-    // (lattice key, task-local result) per completed task.
-    let parts: Mutex<Vec<(Vec<u32>, ScpmResult)>> = Mutex::new(Vec::new());
-
+    let shared = Shared {
+        scpm,
+        injector,
+        stealers,
+        pending,
+    };
+    let mut queues = queues.into_iter();
+    let own = queues.next().expect("at least one worker");
     crossbeam::scope(|scope| {
-        for (wid, own) in queues.into_iter().enumerate() {
-            let scpm = &scpm;
-            let injector = &injector;
-            let stealers = &stealers;
-            let pending = &pending;
-            let parts = &parts;
-            scope.spawn(move |_| {
-                // One engine per worker: its quasi-clique scratch buffers
-                // are reused by every task this worker executes.
-                let engine = scpm.engine();
-                let mut cover_buf = Vec::new();
-                let mut idle_polls = 0u32;
-                loop {
-                    let task = own
-                        .pop()
-                        .or_else(|| injector.steal().success())
-                        .or_else(|| steal_from_peers(stealers, wid));
-                    let Some(task) = task else {
-                        if pending.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        // Back off after a burst of empty polls so a long
-                        // serial tail (one worker grinding a subtree) does
-                        // not spin the idle workers at 100% CPU. 100 µs is
-                        // noise next to any ε evaluation.
-                        idle_polls += 1;
-                        if idle_polls < 64 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(std::time::Duration::from_micros(100));
-                        }
-                        continue;
-                    };
-                    idle_polls = 0;
-                    // Decremented on every exit path (unwind included) —
-                    // but only after this iteration registered any
-                    // follow-on tasks, so `pending == 0` still means "no
-                    // task exists or can ever be created".
-                    let _task_done = PendingGuard(pending);
-                    let mut local = ScpmResult::default();
-                    match task {
-                        Task::Subtree { key, class, branch } => {
-                            scpm.enumerate_branch(&engine, &class, branch, &mut local);
-                            parts.lock().push((key, local));
-                        }
-                        Task::Extend { join, sibling } => {
-                            if let Some(entry) = scpm.extend_pair_refs(
-                                &engine,
-                                &join.class[join.branch],
-                                &join.class[sibling],
-                                &mut cover_buf,
-                                &mut local,
-                            ) {
-                                join.survivors.lock().push((sibling, entry));
-                            }
-                            let mut key = join.key.clone();
-                            key.extend([0, sibling as u32]);
-                            parts.lock().push((key, local));
-                            if join.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                // Last sibling evaluation of this branch:
-                                // assemble the child class in sibling order
-                                // and spawn the child branches.
-                                let mut survivors = std::mem::take(&mut *join.survivors.lock());
-                                survivors.sort_unstable_by_key(|&(j, _)| j);
-                                let next: Vec<EnumEntry> =
-                                    survivors.into_iter().map(|(_, e)| e).collect();
-                                if !next.is_empty() {
-                                    let child_class = Arc::new(next);
-                                    for branch in 0..child_class.len() {
-                                        let mut key = join.key.clone();
-                                        key.extend([1, branch as u32]);
-                                        spawn_branch(
-                                            key,
-                                            join.depth + 1,
-                                            Arc::clone(&child_class),
-                                            branch,
-                                            pending,
-                                            &mut |task| own.push(task),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            });
+        let helpers: Vec<_> = queues
+            .enumerate()
+            .map(|(i, own)| {
+                let shared = &shared;
+                scope.spawn(move |_| shared.work(i + 1, own, &shared.scpm.engine()))
+            })
+            .collect();
+        parts.extend(shared.work(0, own, &engine));
+        for helper in helpers {
+            parts.extend(helper.join().expect("scpm worker panicked"));
         }
     })
     .expect("scpm worker panicked");
+    Ok(Arc::into_inner(class).expect("every task has finished"))
+}
 
-    // Deterministic merge: lattice paths order the per-task results exactly
-    // like the serial depth-first traversal (a parent's path is a strict
-    // prefix of — hence sorts before — all of its descendants').
-    let mut parts = parts.into_inner();
+/// Orders `parts` by lattice key and concatenates them into one result,
+/// plus one [`SubtreeTrace`] per task part. A parent's key is a strict
+/// prefix of — hence sorts before — all of its descendants' keys, so the
+/// order is the depth-first traversal's.
+pub(crate) fn merge(mut parts: Vec<Part>) -> (ScpmResult, Vec<SubtreeTrace>) {
     parts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut traces = Vec::with_capacity(parts.len());
+    let mut result = ScpmResult::default();
+    let mut traces = Vec::new();
     for (path, part) in parts {
-        traces.push(SubtreeTrace {
-            path,
-            stats: part.stats,
-        });
         result.reports.extend(part.reports);
         result.patterns.extend(part.patterns);
         result.stats.merge(&part.stats);
+        if path[0] == 1 {
+            traces.push(SubtreeTrace {
+                path,
+                stats: part.stats,
+            });
+        }
     }
-    result.stats.elapsed = start.elapsed();
     (result, traces)
+}
+
+/// What every worker of one walk shares.
+struct Shared<'a, 'g> {
+    scpm: &'a Scpm<'g>,
+    injector: Injector<Task>,
+    stealers: Vec<Stealer<Task>>,
+    /// Tasks queued or running.
+    pending: AtomicUsize,
+}
+
+impl Shared<'_, '_> {
+    /// Worker `wid`'s task loop: runs tasks from its own deque, the
+    /// injector and its peers' deques until none exists or can be
+    /// created, and returns the keyed parts of the tasks it ran. The
+    /// engine's quasi-clique scratch buffers are reused by every task.
+    fn work(&self, wid: usize, own: Worker<Task>, engine: &CorrelationEngine<'_>) -> Vec<Part> {
+        let mut parts = Vec::new();
+        let mut cover_buf = Vec::new();
+        let mut idle_polls = 0u32;
+        loop {
+            let task = own
+                .pop()
+                .or_else(|| self.injector.steal().success())
+                .or_else(|| steal_from_peers(&self.stealers, wid));
+            let Some(task) = task else {
+                if self.pending.load(Ordering::Acquire) == 0 {
+                    return parts;
+                }
+                // Back off after a burst of empty polls so a long serial
+                // tail (one worker grinding a subtree) does not spin the
+                // idle workers at 100% CPU. 100 µs is noise next to any ε
+                // evaluation.
+                idle_polls += 1;
+                if idle_polls < 64 {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+                continue;
+            };
+            idle_polls = 0;
+            // Decremented on every exit path (unwind included) — but only
+            // after this iteration registered any follow-on tasks, so
+            // `pending == 0` still means "no task exists or can ever be
+            // created".
+            let _task_done = PendingGuard(&self.pending);
+            let mut local = ScpmResult::default();
+            match task {
+                Task::Subtree { key, class, branch } => {
+                    self.scpm
+                        .enumerate_branch(engine, &class, branch, &mut local);
+                    parts.push((key, local));
+                }
+                Task::Extend { join, sibling } => {
+                    let class = &join.class;
+                    if let Some(entry) = self.scpm.extend_pair_refs(
+                        engine,
+                        &class[join.branch],
+                        &class[sibling],
+                        &mut cover_buf,
+                        &mut local,
+                    ) {
+                        join.survivors.lock().push((sibling, entry));
+                    }
+                    let mut key = join.key.clone();
+                    key.extend([0, class[sibling].last_attr()]);
+                    parts.push((key, local));
+                    if join.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        // Last sibling evaluation of this branch: assemble
+                        // the child class in sibling order and spawn the
+                        // child branches.
+                        let mut survivors = std::mem::take(&mut *join.survivors.lock());
+                        survivors.sort_unstable_by_key(|&(j, _)| j);
+                        let next: Arc<Vec<EnumEntry>> =
+                            Arc::new(survivors.into_iter().map(|(_, e)| e).collect());
+                        for branch in 0..next.len() {
+                            spawn_branch(
+                                &join.key,
+                                join.depth + 1,
+                                &next,
+                                branch,
+                                &self.pending,
+                                &mut |task| own.push(task),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Decrements the pending-task counter when dropped — *also* during a

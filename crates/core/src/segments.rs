@@ -5,46 +5,38 @@
 //! [`mine_mapped`] reproduces [`Scpm::run`](crate::Scpm::run) bit-for-bit
 //! (same reports, same patterns, same counters — only `elapsed` is its own
 //! wall clock) while reading the graph through a [`MappedSnapshot`]
-//! instead of a heap [`AttributedGraph`]. The trick is that every subgraph
-//! the search can ever extract under a root attribute `a` lies inside
-//! `V(a)`, so a **working graph** containing all edges incident to
-//! `W = ⋃ V(a)` over the segment's roots answers every adjacency query of
-//! the segment's entire subtree exactly as the full graph would.
+//! instead of a heap [`AttributedGraph`](scpm_graph::AttributedGraph).
+//! The trick is that every subgraph the search can ever extract under a
+//! root attribute `a` lies inside `V(a)`, so a **working graph**
+//! containing all edges incident to `W = ⋃ V(a)` over the segment's roots
+//! answers every adjacency query of the segment's entire subtree exactly
+//! as the full graph would.
 //!
-//! The driver runs in three layers:
+//! The driver has two layers:
 //!
 //! 1. **Pack** — frequent attributes (support ≥ σmin), ascending, are
 //!    greedily packed into segments; an attribute's cost is the CSR
 //!    footprint `8·(deg(v)+1)` bytes of each vertex it *newly* adds to the
 //!    segment's working set. A segment always takes at least one root, so
 //!    a hub attribute larger than the budget forms a singleton segment.
-//! 2. **Phase 1 (descending segments)** — each root's level-1 evaluation
-//!    runs on its segment's working graph into a private scratch result;
-//!    its cover `K_a` is spilled to a temp file and only an
-//!    `attr → (offset, len)` index plus a survival flag stay resident.
-//!    Descending order guarantees that by the time a root is *extended*,
-//!    every later sibling's cover is already on disk.
-//! 3. **Phase 2 (roots ascending)** — each surviving root is extended with
-//!    its surviving siblings `b > a`, materializing one sibling
-//!    pseudo-entry at a time (tidset from the mapped inverted index, cover
-//!    re-read from the spill) via
-//!    [`Scpm::extend_pair_refs`](crate::Scpm); surviving children recurse
-//!    through the ordinary in-memory enumeration, which stays inside the
-//!    working graph.
+//! 2. **Walk (descending segments)** — each segment's roots run through
+//!    the same lattice walk as the in-memory mine
+//!    ([`crate::parallel`]), on the segment's working graph, with the
+//!    surviving level-1 entries of every later segment carried as
+//!    resident siblings. Descending order guarantees that by the time a
+//!    root is extended, every later sibling has been evaluated. The walk
+//!    keys its output by attribute ids, so one merge of every segment's
+//!    parts gives the in-memory order.
 //!
-//! Final assembly concatenates the per-root scratches in the canonical
-//! order of the in-memory run — all level-1 reports ascending, then each
-//! root's subtree ascending — and sums counters with
-//! [`ScpmStats::merge`](crate::ScpmStats::merge).
+//! Carried siblings keep their tidset and cover resident (their mining
+//! subgraph is dropped with their working graph). Only roots that pass
+//! the Theorem 4/5 gates are carried; on the `exp_oocore` gate graph that
+//! is 2 of 4,803 frequent roots, about 1.95 MB.
 //!
 //! ε is normalized against the **full** graph's null model (degree
 //! histogram straight from the mapped CSR offsets), shared across
 //! segments through one [`NullModelCache`]; see [`Scpm::with_model`].
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,114 +45,52 @@ use scpm_graph::csr::VertexId;
 use scpm_graph::{DegreeDistribution, MappedSnapshot, SnapshotError};
 use scpm_itemset::Tidset;
 
-use crate::algorithm::{EnumEntry, Scpm};
+use crate::algorithm::Scpm;
 use crate::nullmodel::{AnalyticalModel, NullModelCache};
+use crate::parallel::{merge, walk};
 use crate::params::ScpmParams;
 use crate::pattern::ScpmResult;
 
-/// Disambiguates spill files of concurrent runs inside one process.
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Append-only spill of level-1 covers, read back by `(offset, len)`.
-struct CoverSpill {
-    file: File,
-    len: u64,
-    path: PathBuf,
-}
-
-impl CoverSpill {
-    fn create() -> std::io::Result<CoverSpill> {
-        let path = std::env::temp_dir().join(format!(
-            "scpm-segment-covers-{}-{}.spill",
-            std::process::id(),
-            SPILL_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(CoverSpill { file, len: 0, path })
-    }
-
-    /// Appends a cover, returning its `(offset, len)` handle.
-    fn push(&mut self, cover: &[VertexId]) -> std::io::Result<(u64, u32)> {
-        let offset = self.len;
-        self.file.seek(SeekFrom::Start(offset))?;
-        let mut buf = Vec::with_capacity(cover.len() * 4);
-        for v in cover {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        self.file.write_all(&buf)?;
-        self.len += buf.len() as u64;
-        Ok((offset, cover.len() as u32))
-    }
-
-    /// Reads a cover back by its handle.
-    fn read(&mut self, handle: (u64, u32)) -> std::io::Result<Vec<VertexId>> {
-        let (offset, count) = handle;
-        let mut buf = vec![0u8; count as usize * 4];
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(&mut buf)?;
-        Ok(buf
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-}
-
-impl Drop for CoverSpill {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 /// Greedily packs the frequent attributes (ascending) into segments whose
 /// working-set CSR footprint stays under `budget_bytes`. Every segment
-/// holds at least one root.
+/// holds at least one root. Costs O(Σ supports) after one O(n) bitmap:
+/// a segment boundary clears only the closed segment's vertices.
 fn pack_segments(
     snap: &MappedSnapshot,
     frequent: &[AttrId],
     budget_bytes: usize,
 ) -> Result<Vec<Vec<AttrId>>, SnapshotError> {
     let offsets = snap.csr_offsets()?;
-    let n = snap.num_vertices();
     let cost_of = |v: VertexId| -> usize {
         let v = v as usize;
         8 * ((offsets[v + 1] - offsets[v]) as usize + 1)
     };
     let mut segments: Vec<Vec<AttrId>> = Vec::new();
-    let mut member = vec![false; n];
+    let mut member = vec![false; snap.num_vertices()];
     let mut current: Vec<AttrId> = Vec::new();
     let mut current_cost = 0usize;
     for &a in frequent {
-        let added: usize = snap
-            .vertices_with(a)?
+        let vs = snap.vertices_with(a)?;
+        let added: usize = vs
             .iter()
             .filter(|&&v| !member[v as usize])
             .map(|&v| cost_of(v))
             .sum();
         if !current.is_empty() && current_cost + added > budget_bytes {
-            segments.push(std::mem::take(&mut current));
-            member.iter_mut().for_each(|m| *m = false);
-            current_cost = 0;
-            // Recost against the now-empty working set.
-            for &v in snap.vertices_with(a)? {
-                member[v as usize] = true;
+            for &b in &current {
+                for &v in snap.vertices_with(b)? {
+                    member[v as usize] = false;
+                }
             }
-            current_cost += snap
-                .vertices_with(a)?
-                .iter()
-                .map(|&v| cost_of(v))
-                .sum::<usize>();
-            current.push(a);
-            continue;
+            segments.push(std::mem::take(&mut current));
+            // Recost against the now-empty working set.
+            current_cost = vs.iter().map(|&v| cost_of(v)).sum();
+        } else {
+            current_cost += added;
         }
-        for &v in snap.vertices_with(a)? {
+        for &v in vs {
             member[v as usize] = true;
         }
-        current_cost += added;
         current.push(a);
     }
     if !current.is_empty() {
@@ -170,25 +100,28 @@ fn pack_segments(
 }
 
 /// Builds a segment's working graph: every vertex of the snapshot, plus
-/// every edge with at least one endpoint in the union of the segment
+/// every edge with at least one endpoint in the union `W` of the segment
 /// roots' tidsets. No attributes are interned — the mining engine reads
-/// attribute data from entries, never from the working graph.
+/// attribute data from entries, never from the working graph. `member` is
+/// an all-false scratch bitmap over the snapshot's vertices, all-false
+/// again on return; only `W`'s vertices are marked, scanned and cleared.
 fn working_graph(
     snap: &MappedSnapshot,
     roots: &[AttrId],
+    member: &mut [bool],
 ) -> Result<scpm_graph::AttributedGraph, SnapshotError> {
-    let n = snap.num_vertices();
-    let mut member = vec![false; n];
+    let mut working: Vec<VertexId> = Vec::new();
     for &a in roots {
         for &v in snap.vertices_with(a)? {
-            member[v as usize] = true;
+            if !member[v as usize] {
+                member[v as usize] = true;
+                working.push(v);
+            }
         }
     }
-    let mut b = AttributedGraphBuilder::new(n);
-    for v in 0..n as u32 {
-        if !member[v as usize] {
-            continue;
-        }
+    working.sort_unstable();
+    let mut b = AttributedGraphBuilder::new(snap.num_vertices());
+    for &v in &working {
         for &u in snap.neighbors(v)? {
             // Both endpoints in the working set would add the edge twice;
             // keep the copy from the smaller endpoint.
@@ -196,6 +129,9 @@ fn working_graph(
                 b.add_edge(v, u);
             }
         }
+    }
+    for &v in &working {
+        member[v as usize] = false;
     }
     Ok(b.build())
 }
@@ -263,81 +199,29 @@ pub fn mine_mapped(
 
     let segments = pack_segments(snap, &frequent, segment_budget_bytes)?;
 
-    // Per-root scratches, indexed by attribute id: the level-1 result of
-    // every frequent root, and the subtree result of every surviving one.
-    let mut l1_results: Vec<Option<ScpmResult>> = (0..num_attrs).map(|_| None).collect();
-    let mut subtree_results: Vec<Option<ScpmResult>> = (0..num_attrs).map(|_| None).collect();
-    let mut cover_handle: Vec<Option<(u64, u32)>> = vec![None; num_attrs];
-    let mut spill = CoverSpill::create()?;
-
-    // Descending, so every sibling b > a has its cover spilled before any
-    // root a extends with it.
+    // Descending, so every sibling b > a has been evaluated (and, if it
+    // survived, carried) before any root a extends with it.
+    let mut parts = Vec::new();
+    let mut carried = Vec::new();
+    let mut member = vec![false; n];
     for seg in segments.iter().rev() {
-        let graph = working_graph(snap, seg)?;
+        let graph = working_graph(snap, seg, &mut member)?;
         let model = AnalyticalModel::from_distribution(dist.clone(), n, &params.quasi_clique)
             .with_cache(cache.clone());
         let scpm = Scpm::with_model(&graph, params.clone(), model);
-        let engine = scpm.engine();
-
-        // Phase 1: level-1 evaluation of each root on the working graph.
-        let mut entries: Vec<Option<EnumEntry>> = Vec::with_capacity(seg.len());
-        for &a in seg {
+        let roots = seg.iter().map(|&a| {
             let tids = Tidset::from_sorted(snap.vertices_with(a)?.to_vec());
-            let mut scratch = ScpmResult::default();
-            let entry = scpm.evaluate(&engine, vec![a], tids, None, None, true, &mut scratch);
-            if let Some(e) = &entry {
-                cover_handle[a as usize] = Some(spill.push(&e.cover)?);
-            }
-            l1_results[a as usize] = Some(scratch);
-            entries.push(entry);
-        }
-
-        // Phase 2: extend each surviving root with its surviving siblings,
-        // one pseudo-entry at a time; children enumerate in memory.
-        for (slot, &a) in seg.iter().enumerate() {
-            let Some(base) = entries[slot].take() else {
-                continue;
-            };
-            let mut scratch = ScpmResult::default();
-            let mut next: Vec<EnumEntry> = Vec::new();
-            let mut cover_buf: Vec<VertexId> = Vec::new();
-            for &b in frequent.iter().filter(|&&b| b > a) {
-                let Some(handle) = cover_handle[b as usize] else {
-                    continue;
-                };
-                let sibling = EnumEntry {
-                    attrs: vec![b],
-                    tids: Tidset::from_sorted(snap.vertices_with(b)?.to_vec()),
-                    cover: spill.read(handle)?,
-                    sub: None,
-                    stable: false,
-                };
-                if let Some(child) =
-                    scpm.extend_pair_refs(&engine, &base, &sibling, &mut cover_buf, &mut scratch)
-                {
-                    next.push(child);
-                }
-            }
-            if !next.is_empty() {
-                scpm.enumerate_class(&engine, &next, &mut scratch);
-            }
-            subtree_results[a as usize] = Some(scratch);
+            Ok::<_, SnapshotError>((a, tids))
+        });
+        carried = walk(&scpm, roots, carried, 1, &mut parts)?;
+        // A carried entry is only ever a sibling from here on; its mining
+        // subgraph belongs to this segment.
+        for entry in &mut carried {
+            entry.sub = None;
         }
     }
 
-    // Canonical reassembly: level-1 reports ascending, then each root's
-    // subtree ascending — exactly the in-memory enumeration order.
-    let mut result = ScpmResult::default();
-    for scratch in l1_results.into_iter().flatten() {
-        result.reports.extend(scratch.reports);
-        result.patterns.extend(scratch.patterns);
-        result.stats.merge(&scratch.stats);
-    }
-    for scratch in subtree_results.into_iter().flatten() {
-        result.reports.extend(scratch.reports);
-        result.patterns.extend(scratch.patterns);
-        result.stats.merge(&scratch.stats);
-    }
+    let (mut result, _) = merge(parts);
     result.stats.elapsed = start.elapsed();
     Ok(result)
 }

@@ -472,22 +472,26 @@ pub struct RecoveredMine {
     pub repaired: Option<TornTail>,
 }
 
-/// One incremental mine step shared by the replay fold.
-fn mine_step(
+/// One incremental mine: runs the scheduler over `graph` with `ctx`
+/// attached (a recording context, or an update context replaying a
+/// previous memo) and `exp(σ)` memoized in `cache`, which must only hold
+/// values for this graph. Returns the result, the memo recorded for the
+/// next generation and this run's reuse counters. Output is byte-identical
+/// to a plain mine of `graph`.
+pub fn mine_step(
     graph: &AttributedGraph,
     params: &ScpmParams,
     config: &ParallelConfig,
+    cache: &Arc<NullModelCache>,
     ctx: IncrementalCtx,
-) -> (ScpmResult, EvalMemo, IncrementalStats, Arc<NullModelCache>) {
-    let cache = Arc::new(NullModelCache::new());
-    let mut scpm =
-        Scpm::with_cache(graph, params.clone(), Arc::clone(&cache)).with_incremental(ctx);
+) -> (ScpmResult, EvalMemo, IncrementalStats) {
+    let mut scpm = Scpm::with_cache(graph, params.clone(), Arc::clone(cache)).with_incremental(ctx);
     let result = scpm.run_scheduled(config);
     let (memo, stats) = scpm
         .take_incremental()
         .expect("mine keeps its incremental context")
         .into_parts();
-    (result, memo, stats, cache)
+    (result, memo, stats)
 }
 
 /// Replays a [`RecoveredState`] into a live mining state under `params`:
@@ -541,8 +545,9 @@ pub fn replay_mine(
                     })?
                     .graph;
             }
-            let (result, memo, stats, cache) =
-                mine_step(&graph, params, config, IncrementalCtx::recording());
+            let cache = Arc::new(NullModelCache::new());
+            let (result, memo, stats) =
+                mine_step(&graph, params, config, &cache, IncrementalCtx::recording());
             Ok(RecoveredMine {
                 graph,
                 memo,
@@ -577,7 +582,8 @@ pub fn replay_mine(
             let (result, memo, cache) = if deltas.is_empty() {
                 let dirty = DirtySet::clean(graph.num_attributes());
                 let ctx = IncrementalCtx::update(Arc::new(prev_memo), dirty);
-                let (r, m, s, c) = mine_step(&graph, params, config, ctx);
+                let c = Arc::new(NullModelCache::new());
+                let (r, m, s) = mine_step(&graph, params, config, &c, ctx);
                 add(&mut total, s);
                 (r, m, c)
             } else {
@@ -590,7 +596,8 @@ pub fn replay_mine(
                     })?;
                     let dirty = DirtySet::from_delta(&applied.graph, &applied);
                     let ctx = IncrementalCtx::update(Arc::new(prev_memo), dirty);
-                    let (r, m, s, c) = mine_step(&applied.graph, params, config, ctx);
+                    let c = Arc::new(NullModelCache::new());
+                    let (r, m, s) = mine_step(&applied.graph, params, config, &c, ctx);
                     add(&mut total, s);
                     graph = applied.graph;
                     prev_memo = m.clone();
@@ -638,10 +645,11 @@ mod tests {
     fn seed(dir: &DataDir) -> (AttributedGraph, ScpmParams, JournalWriter) {
         let graph = figure1();
         let params = table1_params();
-        let (_, memo, _, _) = mine_step(
+        let (_, memo, _) = mine_step(
             &graph,
             &params,
             &ParallelConfig::new(1),
+            &Arc::new(NullModelCache::new()),
             IncrementalCtx::recording(),
         );
         let writer = checkpoint(dir, 0, &graph, &memo, &params).unwrap();
@@ -778,10 +786,11 @@ mod tests {
         let dir = tdir("prune");
         let (graph, params, writer) = seed(&dir);
         drop(writer);
-        let (_, memo, _, _) = mine_step(
+        let (_, memo, _) = mine_step(
             &graph,
             &params,
             &ParallelConfig::new(1),
+            &Arc::new(NullModelCache::new()),
             IncrementalCtx::recording(),
         );
         for g in [1u64, 2, 3] {
@@ -799,10 +808,11 @@ mod tests {
         drop(writer);
         // Forge a journal that skips ahead: journal-5 next to snapshot-0
         // (as if intermediate journals were lost).
-        let (_, memo, _, _) = mine_step(
+        let (_, memo, _) = mine_step(
             &graph,
             &params,
             &ParallelConfig::new(1),
+            &Arc::new(NullModelCache::new()),
             IncrementalCtx::recording(),
         );
         let _w5 = checkpoint(&dir, 5, &graph, &memo, &params).unwrap();

@@ -65,8 +65,8 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use scpm_core::{
-    checkpoint_with, recover, replay_mine, DataDir, DirtySet, EvalMemo, IncrementalCtx,
-    NullModelCache, ParallelConfig, Scpm, ScpmParams,
+    checkpoint_with, mine_step, recover, replay_mine, DataDir, DirtySet, EvalMemo, IncrementalCtx,
+    NullModelCache, ParallelConfig, ScpmParams,
 };
 use scpm_graph::attributed::AttributedGraph;
 use scpm_graph::{DeltaOp, FaultInjector, GraphDelta, JournalWriter};
@@ -292,13 +292,7 @@ fn record_mine(
     config: &ParallelConfig,
     generation: u64,
 ) -> (PatternCatalog, EvalMemo) {
-    let mut scpm = Scpm::with_cache(graph, params.clone(), Arc::clone(cache))
-        .with_incremental(IncrementalCtx::recording());
-    let result = scpm.run_scheduled(config);
-    let (memo, _) = scpm
-        .take_incremental()
-        .expect("recording run keeps its context")
-        .into_parts();
+    let (result, memo, _) = mine_step(graph, params, config, cache, IncrementalCtx::recording());
     (
         PatternCatalog::build(graph, params, result, generation),
         memo,
@@ -975,13 +969,8 @@ fn update(state: &Arc<ServerState>, request: &Request) -> Result<(Json, u64), Ht
     let config = ParallelConfig::new(state.mine_threads);
     let params = base.params().clone();
     let graph = Arc::new(applied.graph);
-    let mut scpm = Scpm::with_cache(&graph, params.clone(), Arc::clone(&cache))
-        .with_incremental(IncrementalCtx::update(Arc::clone(&mining.memo), dirty));
-    let result = scpm.run_scheduled(&config);
-    let (memo, incr) = scpm
-        .take_incremental()
-        .expect("update run keeps its context")
-        .into_parts();
+    let ctx = IncrementalCtx::update(Arc::clone(&mining.memo), dirty);
+    let (result, memo, incr) = mine_step(&graph, &params, &config, &cache, ctx);
     let memo = Arc::new(memo);
 
     let generation = state.next_generation.fetch_add(1, Ordering::AcqRel);

@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use scpm_core::report::{render_patterns, render_summary, render_top_tables};
 use scpm_core::{
-    empirical_p_value, run_naive, AnalyticalModel, DirtySet, ExactModel, IncrementalCtx,
+    empirical_p_value, mine_step, run_naive, AnalyticalModel, DirtySet, ExactModel, IncrementalCtx,
     NullModelCache, ParallelConfig, Scorp, Scpm, ScpmParams, SimulationModel,
 };
 use scpm_datasets::ingest::{
@@ -483,30 +483,26 @@ fn update(flags: &Flags) -> Result<(), String> {
     // Generation 0: record the evaluation memo on the base graph. (The
     // serve layer keeps this memo alive across updates; the CLI rebuilds
     // it from the snapshot.)
-    let mut recorder = Scpm::with_cache(&base, params.clone(), Arc::new(NullModelCache::new()))
-        .with_incremental(IncrementalCtx::recording());
-    recorder.run_scheduled(&config);
-    let (memo, _) = recorder
-        .take_incremental()
-        .expect("recording run keeps its context")
-        .into_parts();
+    let (_, memo, _) = mine_step(
+        &base,
+        &params,
+        &config,
+        &Arc::new(NullModelCache::new()),
+        IncrementalCtx::recording(),
+    );
 
     // Generation 1: replay every clean lattice node against the updated
     // graph. The null-model cache is fresh — exp(σ) is a function of the
     // graph, and the graph changed.
     let dirty = DirtySet::from_delta(&applied.graph, &applied);
     let dirty_summary = (dirty.dirty_attr_ids().len(), dirty.num_edge_caps());
-    let mut miner = Scpm::with_cache(
+    let (result, _, incr) = mine_step(
         &applied.graph,
-        params.clone(),
-        Arc::new(NullModelCache::new()),
-    )
-    .with_incremental(IncrementalCtx::update(Arc::new(memo), dirty));
-    let result = miner.run_scheduled(&config);
-    let incr = miner
-        .take_incremental()
-        .expect("update run keeps its context")
-        .stats();
+        &params,
+        &config,
+        &Arc::new(NullModelCache::new()),
+        IncrementalCtx::update(Arc::new(memo), dirty),
+    );
 
     if let Some(out) = flags.str("out") {
         save_any(&applied.graph, out)?;
