@@ -21,30 +21,26 @@ pub struct InducedSubgraph {
 impl InducedSubgraph {
     /// Extracts `G[W]` for a sorted, duplicate-free vertex set `W`.
     ///
-    /// Runs in `O(Σ_{v ∈ W} deg(v))` time using merges of sorted neighbor
-    /// lists against `W`.
+    /// Runs in `O(|V(G)| + Σ_{v ∈ W} deg(v))` time: a rank array indexed by
+    /// global id (allocated per call) maps each member to its local id, and
+    /// each member's neighbor list is filtered through it. `W` is sorted, so
+    /// the ranks are monotone and every local row comes out ascending.
     pub fn extract(g: &CsrGraph, set: &[VertexId]) -> Self {
         debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "set must be sorted");
-        let k = set.len();
-        let mut offsets = Vec::with_capacity(k + 1);
+        let mut rank: Vec<VertexId> = vec![VertexId::MAX; g.num_vertices()];
+        for (local, &v) in set.iter().enumerate() {
+            rank[v as usize] = local as VertexId;
+        }
+        let mut offsets = Vec::with_capacity(set.len() + 1);
         offsets.push(0usize);
         let mut neighbors: Vec<VertexId> = Vec::new();
-        // For each member, merge its global neighbor list with `set`,
-        // emitting *local* ids of common vertices.
         for &v in set {
-            let nv = g.neighbors(v);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < nv.len() && j < k {
-                match nv[i].cmp(&set[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        neighbors.push(j as VertexId);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
+            neighbors.extend(
+                g.neighbors(v)
+                    .iter()
+                    .map(|&w| rank[w as usize])
+                    .filter(|&r| r != VertexId::MAX),
+            );
             offsets.push(neighbors.len());
         }
         InducedSubgraph {
@@ -57,38 +53,22 @@ impl InducedSubgraph {
     /// parent-local vertices in `keep` and relabels them `0..keep.count()`.
     ///
     /// This is the incremental-projection fast path of the lattice DFS:
-    /// when a child attribute set's vertex set is contained in its parent's
-    /// (always true — `V(S ∪ {a}) ⊆ V(S)`, and the Theorem-3 cover
-    /// restriction only shrinks it further), the child's subgraph can be
-    /// filtered out of the parent's compact CSR in
-    /// `O(Σ_{v ∈ keep} deg_parent(v))` instead of re-merged against the
-    /// global graph. The result is **identical** to
-    /// [`InducedSubgraph::extract`] on the corresponding global vertex set
-    /// (local order preserves global order in both constructions).
+    /// a child attribute set's vertex set is contained in its parent's
+    /// (`V(S ∪ {a}) ⊆ V(S)`, and the Theorem-3 cover restriction only
+    /// shrinks it further), so the child's subgraph is
+    /// [`InducedSubgraph::extract`] over the parent's compact CSR, in
+    /// `O(|W_parent| + Σ_{v ∈ keep} deg_parent(v))`, with `original` mapped
+    /// through the parent. The result is **identical** to `extract` on the
+    /// corresponding global vertex set (local order preserves global order
+    /// in both constructions).
     pub fn project(&self, keep: &VertexBitset) -> InducedSubgraph {
         debug_assert_eq!(keep.universe(), self.num_vertices());
-        let n = self.num_vertices();
-        let mut rank: Vec<VertexId> = vec![VertexId::MAX; n];
-        let mut original = Vec::with_capacity(keep.count());
-        for v in keep.iter() {
-            rank[v as usize] = original.len() as VertexId;
-            original.push(self.original[v as usize]);
+        let locals: Vec<VertexId> = keep.iter().collect();
+        let mut sub = Self::extract(&self.graph, &locals);
+        for v in &mut sub.original {
+            *v = self.original[*v as usize];
         }
-        let mut offsets = Vec::with_capacity(original.len() + 1);
-        offsets.push(0usize);
-        let mut neighbors: Vec<VertexId> = Vec::new();
-        for v in keep.iter() {
-            for &w in self.graph.neighbors(v) {
-                if keep.contains(w) {
-                    neighbors.push(rank[w as usize]);
-                }
-            }
-            offsets.push(neighbors.len());
-        }
-        InducedSubgraph {
-            graph: CsrGraph::from_parts(offsets, neighbors),
-            original,
-        }
+        sub
     }
 
     /// Number of vertices in the subgraph.

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use scpm_graph::attributed::AttributedGraphBuilder;
+use scpm_graph::bitadj::VertexBitset;
 use scpm_graph::builder::GraphBuilder;
 use scpm_graph::components::Components;
-use scpm_graph::csr::{intersect_count, intersect_into, VertexId};
+use scpm_graph::csr::{intersect_count, intersect_into, CsrGraph, VertexId};
 use scpm_graph::induced::InducedSubgraph;
 use scpm_graph::kcore::CoreDecomposition;
 use scpm_graph::snapshot;
@@ -16,6 +17,49 @@ fn edges_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>
         let edge = (0..n as u32, 0..n as u32);
         (Just(n), proptest::collection::vec(edge, 0..(n * 3)))
     })
+}
+
+/// Strategy: a random edge list over `n` vertices in which one vertex
+/// (the hub) is also adjacent to every other vertex.
+fn hub_graph_strategy(max_n: usize) -> impl Strategy<Value = CsrGraph> {
+    (edges_strategy(max_n), any::<u32>()).prop_map(|((n, edges), hub)| {
+        let hub = hub % n as u32;
+        let mut b = GraphBuilder::new(n);
+        for (u, v) in edges {
+            if u != v {
+                b.add_edge(u, v);
+            }
+        }
+        for v in 0..n as u32 {
+            if v != hub {
+                b.add_edge(hub, v);
+            }
+        }
+        b.build()
+    })
+}
+
+/// The members of `0..n` whose `mask` bit is set (missing bits are unset).
+fn masked(n: usize, mask: &[bool]) -> Vec<VertexId> {
+    (0..n as VertexId)
+        .filter(|&v| mask.get(v as usize).copied().unwrap_or(false))
+        .collect()
+}
+
+/// Reference `G[W]`, built pair by pair with `has_edge`: row `i` lists, in
+/// ascending order, every `j` with `W[i]` adjacent to `W[j]`.
+fn naive_induced(g: &CsrGraph, set: &[VertexId]) -> CsrGraph {
+    let mut offsets = vec![0usize];
+    let mut neighbors = Vec::new();
+    for &u in set {
+        for (j, &w) in set.iter().enumerate() {
+            if g.has_edge(u, w) {
+                neighbors.push(j as VertexId);
+            }
+        }
+        offsets.push(neighbors.len());
+    }
+    CsrGraph::from_parts(offsets, neighbors)
 }
 
 proptest! {
@@ -68,6 +112,37 @@ proptest! {
             }
         }
         prop_assert_eq!(sub.graph.num_edges(), expect);
+    }
+
+    #[test]
+    fn extract_equals_pairwise_reference(
+        g in hub_graph_strategy(40),
+        mask in proptest::collection::vec(any::<bool>(), 40),
+    ) {
+        let subset = masked(g.num_vertices(), &mask);
+        let sub = InducedSubgraph::extract(&g, &subset);
+        // Same rows in the same order, and the same local → global map.
+        prop_assert_eq!(&sub.graph, &naive_induced(&g, &subset));
+        prop_assert_eq!(&sub.original, &subset);
+    }
+
+    #[test]
+    fn chained_projection_equals_direct_extract(
+        g in hub_graph_strategy(40),
+        masks in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 40), 3),
+    ) {
+        // The final global set, picked through the masks by position.
+        let mut globals = masked(g.num_vertices(), &masks[0]);
+        let mut sub = InducedSubgraph::extract(&g, &globals);
+        for mask in &masks[1..] {
+            let locals = masked(sub.num_vertices(), mask);
+            globals = locals.iter().map(|&l| globals[l as usize]).collect();
+            sub = sub.project(&VertexBitset::from_sorted(sub.num_vertices(), &locals));
+        }
+        let direct = InducedSubgraph::extract(&g, &globals);
+        prop_assert_eq!(&sub.graph, &direct.graph);
+        prop_assert_eq!(&sub.original, &direct.original);
+        prop_assert_eq!(&sub.graph, &naive_induced(&g, &globals));
     }
 
     #[test]
